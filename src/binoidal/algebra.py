@@ -147,7 +147,7 @@ def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int) -> AbelianGroup
 
 def diff_group_at(p: Presentation, prime: spectrum.PrimeIdeal) -> AbelianGroupData:
     """Difference group of the cancellative quotient away from the prime."""
-    if not spectrum._admissible(frozenset(prime.gens), p.relations):
+    if not spectrum._admits(prime.mask, spectrum._compile(p.relations)):
         raise ValueError("prime is not admissible for this presentation")
     killed = set(prime.gens)
     kept = [i for i in range(p.rank) if i not in killed]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import algebra, dot, grading, rewrite, simplicial, spectrum
@@ -297,10 +296,8 @@ def _run(args) -> int:
 
     if verb == "bool":
         b = spectrum.booleanize(p)
-        elements = [
-            [_prime_names(p, q) for q in sorted(e, key=lambda q: q.sort_key())]
-            for e in b.elements
-        ]
+        names = [_prime_names(p, q) for q in b.spectrum.primes]
+        elements = [[names[k] for k in positions] for positions in b.positions]
         if args.dot:
             print(dot.boolean_dot(b), end="")
             return EXIT_OK
@@ -517,7 +514,6 @@ def _run_simplicial(args, verb: str) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    os.environ.get("BINOIDAL_THREADS")  # interface mirror; evaluation is sequential
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:

@@ -25,17 +25,18 @@ def spectrum_dot(s: Spectrum) -> str:
 def boolean_dot(b: FiniteBooleanBinoid) -> str:
     names = b.spectrum.presentation.generators
 
-    def label(element) -> str:
-        primes = sorted(element, key=lambda q: q.sort_key())
-        return "{" + ",".join(q.pretty(names) for q in primes) + "}"
-
+    primes = [q.pretty(names) for q in b.spectrum.primes]
+    labels = {
+        e: "{" + ",".join(primes[k] for k in positions) + "}"
+        for e, positions in zip(b.elements, b.positions)
+    }
     lines = ["digraph bool {", "  rankdir=BT;"]
     for e in b.elements:
-        lines.append(f"  {_quote(label(e))};")
+        lines.append(f"  {_quote(labels[e])};")
     for a in b.elements:
         for c in b.elements:
             if a < c and not any(a < m < c for m in b.elements):
-                lines.append(f"  {_quote(label(a))} -> {_quote(label(c))};")
+                lines.append(f"  {_quote(labels[a])} -> {_quote(labels[c])};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -238,7 +238,7 @@ def is_separated(
     if grading is not None:
         return SeparationReport(SEPARATED, None, grading, applicable)
     if applicable:
-        budget = degree_budget
+        budget = max(degree_budget, 1)
         while budget <= 4096:  # the witness exists; widen until it appears
             witness = find_unseparated(p, budget, rs=rs)
             if witness is not None:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import rewrite, spectrum
+from .bitmask import bits, indices, mask_of, submasks, word_mask
 from .errors import PresentationError, TooManyGenerators
 from .presentation import Presentation, make_presentation
 from .words import IDENT_RE, Word
@@ -116,18 +117,21 @@ def f_vector(delta: SimplicialComplex) -> FaceVector:
 def minimal_nonfaces(delta: SimplicialComplex) -> list[frozenset[int]]:
     """Inclusion-minimal vertex sets not contained in any facet.
 
-    Ascends by subset size; supersets of found nonfaces are pruned, which is
-    sound because nonfaces are closed under supersets.
+    Faces are the subsets of the facet masks.  A minimal nonface minus its
+    largest vertex is a face, so the candidates are the faces extended by
+    one vertex above their largest, each met once; a candidate qualifies
+    when it is no face but each of its one-smaller subsets is.
     """
     n = len(delta.vertices)
-    found: list[frozenset[int]] = []
-    for size in range(1, n + 1):
-        for combo in itertools.combinations(range(n), size):
-            c = frozenset(combo)
-            if any(f <= c for f in found):
-                continue
-            if not delta.has_face(c):
-                found.append(c)
+    faces: set[int] = set()
+    for f in delta.facets:
+        faces.update(submasks(mask_of(f)))
+    found = []
+    for f in faces:
+        for v in range(f.bit_length(), n):
+            c = f | 1 << v
+            if c not in faces and all(c ^ b in faces for b in bits(c)):
+                found.append(frozenset(indices(c)))
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
@@ -234,16 +238,18 @@ def recognize_simplicial_report(
         )
     live = [i for i in range(p.rank) if not rs.normal_form(Word.generator(i)).is_inf]
     names = [p.generators[i] for i in live]
-    faces = []
-    for size in range(len(live) + 1):
-        for combo in itertools.combinations(live, size):
-            w = Word.zero()
-            for i in combo:
-                w = w + Word.generator(i)
-            if not rs.normal_form(w).is_inf:
-                faces.append(frozenset(combo))
-    maximal = [f for f in faces if not any(f < g for g in faces)]
-    facet_names = [[p.generators[i] for i in sorted(f)] for f in maximal]
+    # every rule is lhs -> inf and no element is nilpotent, so a word is
+    # absorbing exactly when its support is, and a squarefree word is
+    # absorbing exactly when it contains the support of some lhs
+    killers = [word_mask(rule.lhs) for rule in rs.rules]
+    faces = {
+        c for c in submasks(mask_of(live)) if not any(k & c == k for k in killers)
+    }
+    live_bits = [1 << i for i in live]
+    maximal = [
+        f for f in faces if not any(f | b in faces for b in live_bits if not f & b)
+    ]
+    facet_names = [[p.generators[i] for i in indices(f)] for f in maximal]
     return from_facets(names, facet_names), None
 
 

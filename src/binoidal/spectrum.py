@@ -2,19 +2,36 @@
 
 Primes of a finitely generated commutative binoid are generated by subsets
 of the generators; a subset qualifies exactly when its indicator assignment
-respects every defining relation, so the whole spectrum is found by a scan
-over the 2^r subsets.  Primes are kept as generator subsets throughout;
-ideal membership of a word is the support intersection test through the
-indicator homomorphism.
+respects every defining relation.  Ideal membership of a word is the
+support intersection test through the indicator homomorphism.
+
+Inside this module a generator subset is an ``int`` bitmask, bit ``i`` set
+when generator ``i`` belongs to it.  Costs, for ``r`` generators:
+
+- scan: each relation is compiled once to ``(lhs_mask, rhs_mask | None)``;
+  a subset is admissible when it meets every monomial left-hand side and
+  meets both sides of each binomial relation or neither, two ANDs per
+  relation, so the scan costs O(2^r * #relations).  It refuses more than
+  ``GENERATOR_CAP`` = 24 generators unless forced (``spec``/``dim --force``
+  on the CLI);
+- invariants: heights and prime dimensions are longest-chain DPs over all
+  2^r subsets, in sum-over-subsets and sum-over-supersets order, in O(2^r * r)
+  time and a ``bytearray`` of 2^r bytes (a chain has at most r + 1 members);
+- covers, minimal primes and the Zariski sets are mask subset tests.
+
+Admissible subsets are closed under union, so a nonempty spectrum has a
+largest prime, and the primes inside any subset form the down-set of one
+prime; the booleanization is built from these down-sets directly.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Optional, Sequence
 
 from . import rewrite
+from .bitmask import indices, mask_of, union, word_mask
 from .errors import TooManyGenerators, ZeroBinoid
 from .presentation import Presentation, Relation
 from .words import Word
@@ -27,23 +44,35 @@ class PrimeIdeal:
     """A prime ideal, identified by the set of generators it contains."""
 
     gens: tuple[int, ...]
+    mask: int = field(compare=False, repr=False)  # the gens as a bitmask
 
     def __init__(self, gens: Iterable[int]):
-        object.__setattr__(self, "gens", tuple(sorted(set(gens))))
+        gens = tuple(sorted(set(gens)))
+        object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "mask", mask_of(gens))
+
+    @classmethod
+    def _make(cls, gens: tuple[int, ...], mask: int) -> "PrimeIdeal":
+        """Trusted constructor: sorted distinct gens and their mask."""
+        q = object.__new__(cls)
+        object.__setattr__(q, "gens", gens)
+        object.__setattr__(q, "mask", mask)
+        return q
+
+    def __hash__(self) -> int:
+        return self.mask  # equal gens, equal masks
 
     def __contains__(self, i: int) -> bool:
         return i in self.gens
 
     def __le__(self, other: "PrimeIdeal") -> bool:
-        return set(self.gens) <= set(other.gens)
+        return self.mask & other.mask == self.mask
 
     def __lt__(self, other: "PrimeIdeal") -> bool:
-        return set(self.gens) < set(other.gens)
+        return self.mask & other.mask == self.mask != other.mask
 
     def contains_word(self, w: Word) -> bool:
-        if w.is_inf:
-            return True
-        return any(i in self.gens for i in w.support())
+        return w.is_inf or bool(word_mask(w) & self.mask)
 
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
         return (len(self.gens), self.gens)
@@ -52,16 +81,68 @@ class PrimeIdeal:
         return "{" + ",".join(names[i] for i in self.gens) + "}"
 
 
-def _admissible(subset: frozenset[int], relations: Sequence[Relation]) -> bool:
-    for rel in relations:
-        hits_lhs = bool(rel.lhs.support() & subset)
-        if rel.is_monomial:
-            if not hits_lhs:
+Compiled = tuple[tuple[int, Optional[int]], ...]
+
+
+def _compile(relations: Sequence[Relation]) -> Compiled:
+    """Each relation as (lhs support mask, rhs support mask or None if absorbing)."""
+    return tuple(
+        (word_mask(rel.lhs), None if rel.is_monomial else word_mask(rel.rhs))
+        for rel in relations
+    )
+
+
+def _admits(mask: int, compiled: Compiled) -> bool:
+    for lhs, rhs in compiled:
+        if rhs is None:
+            if not lhs & mask:
                 return False
-        else:
-            if hits_lhs != bool(rel.rhs.support() & subset):
-                return False
+        elif (not lhs & mask) != (not rhs & mask):
+            return False
     return True
+
+
+def _admissible(subset: Iterable[int], relations: Sequence[Relation]) -> bool:
+    """Admissibility of a generator index set (the mask test, set-facing)."""
+    return _admits(mask_of(subset), _compile(relations))
+
+
+def _longest_chains(masks: Iterable[int], r: int) -> bytearray:
+    """Entry s: the most members of the family in one chain of subsets of s.
+
+    A sum-over-subsets DP: subsets precede s in ascending order, and the
+    longest chain inside s either ends at s or lies inside some s minus one
+    bit.  O(2^r * r) time, 2^r bytes.
+    """
+    table = bytearray(1 << r)
+    for m in masks:
+        table[m] = 1
+    for s in range(1, 1 << r):
+        best = 0
+        rest = s
+        while rest:
+            low = rest & -rest
+            v = table[s ^ low]
+            if v > best:
+                best = v
+            rest ^= low
+        table[s] += best
+    return table
+
+
+def _minimal(primes: Sequence[PrimeIdeal]) -> list[PrimeIdeal]:
+    """Inclusion-minimal members, in the given order.
+
+    Masks are visited in ascending numeric order, where every proper subset
+    comes first, so a candidate is minimal unless one of the minimal masks
+    already found lies inside it.
+    """
+    found: list[int] = []
+    for m in sorted({q.mask for q in primes}):
+        if not any(f & m == f for f in found):
+            found.append(m)
+    keep = set(found)
+    return [q for q in primes if q.mask in keep]
 
 
 @dataclass(frozen=True)
@@ -80,26 +161,20 @@ class Spectrum:
     def max_ideal(self) -> PrimeIdeal:
         if self.is_empty:
             raise ZeroBinoid("the zero binoid has no maximal ideal")
-        union: set[int] = set()
-        for p in self.primes:
-            union.update(p.gens)
-        return PrimeIdeal(union)
+        return PrimeIdeal(indices(union(q.mask for q in self.primes)))
 
     def heights(self) -> dict[PrimeIdeal, int]:
-        out: dict[PrimeIdeal, int] = {}
-        for p in self.primes:  # sorted by cardinality, so subsets come first
-            out[p] = max(
-                (out[q] + 1 for q in self.primes if q < p and q in out), default=0
-            )
-        return out
+        r = self.presentation.rank
+        below = _longest_chains((q.mask for q in self.primes), r)
+        return {q: below[q.mask] - 1 for q in self.primes}
 
     def prime_dims(self) -> dict[PrimeIdeal, int]:
-        out: dict[PrimeIdeal, int] = {}
-        for p in reversed(self.primes):
-            out[p] = max(
-                (out[q] + 1 for q in self.primes if p < q), default=0
-            )
-        return out
+        # chains above a prime are chains below its complement in the
+        # complemented family: the sum-over-supersets DP
+        r = self.presentation.rank
+        full = (1 << r) - 1
+        above = _longest_chains((full ^ q.mask for q in self.primes), r)
+        return {q: above[full ^ q.mask] - 1 for q in self.primes}
 
     def height(self, p: PrimeIdeal) -> int:
         if p not in self.primes:
@@ -112,11 +187,15 @@ class Spectrum:
         return self.prime_dims()[p]
 
     def covers(self) -> list[tuple[PrimeIdeal, PrimeIdeal]]:
-        """Covering relations of the inclusion poset (Hasse diagram edges)."""
+        """Covering relations of the inclusion poset (Hasse diagram edges).
+
+        The upper covers of p are the minimal primes strictly above it.
+        """
         out = []
-        for p, q in itertools.permutations(self.primes, 2):
-            if p < q and not any(p < m < q for m in self.primes):
-                out.append((p, q))
+        for p in self.primes:
+            a = p.mask
+            above = [q for q in self.primes if q.mask & a == a != q.mask]
+            out.extend((p, q) for q in _minimal(above))
         return out
 
 
@@ -127,11 +206,14 @@ def compute_spectrum(p: Presentation, force: bool = False) -> Spectrum:
         raise TooManyGenerators(
             f"{r} generators exceed the 2^{GENERATOR_CAP} scan cap; use force"
         )
+    compiled = _compile(p.relations)
+    bits = [1 << i for i in range(r)]
     primes = []
     for size in range(r + 1):
-        for combo in itertools.combinations(range(r), size):
-            if _admissible(frozenset(combo), p.relations):
-                primes.append(PrimeIdeal(combo))
+        for gens in itertools.combinations(range(r), size):
+            mask = sum(map(bits.__getitem__, gens))
+            if _admits(mask, compiled):
+                primes.append(PrimeIdeal._make(gens, mask))
     return Spectrum(p, tuple(primes))
 
 
@@ -166,10 +248,6 @@ def minimal_primes(p: Presentation) -> list[PrimeIdeal]:
     if s.is_empty:
         raise ZeroBinoid("the zero binoid has no minimal primes")
     return _minimal(s.primes)
-
-
-def _minimal(primes: Sequence[PrimeIdeal]) -> list[PrimeIdeal]:
-    return [p for p in primes if not any(q < p for q in primes)]
 
 
 def v_set(p: Presentation, words: Iterable[Word]) -> list[PrimeIdeal]:
@@ -281,14 +359,14 @@ def predicates(p: Presentation, rs: rewrite.RewriteSystem | None = None) -> Pred
         return Predicates(False, False, (), False, False, False)
     if rs is None:
         rs = rewrite.complete(p)
-    max_gens = set(s.max_ideal.gens)
+    max_mask = s.max_ideal.mask
     units = tuple(
-        name for i, name in enumerate(p.generators) if i not in max_gens
+        name for i, name in enumerate(p.generators) if not max_mask >> i & 1
     )
-    a0 = frozenset(
+    a0 = mask_of(
         i for i in range(p.rank) if rs.normal_form(Word.generator(i)).is_inf
     )
-    integral = _admissible(a0, p.relations)
+    integral = _admits(a0, _compile(p.relations))
     minimal = _minimal(s.primes)
     reduced = True
     for t in minimal_transversals([frozenset(m.gens) for m in minimal]):
@@ -298,17 +376,18 @@ def predicates(p: Presentation, rs: rewrite.RewriteSystem | None = None) -> Pred
         if not rs.normal_form(w).is_inf:
             reduced = False
             break
-    d = max(s.heights().values())
     boolean = all(
         rs.equal(Word.generator(i).scale(2), Word.generator(i))
         for i in range(p.rank)
     )
+    # a binoid group has dimension 0; the primes are closed under union, so
+    # an antichain of them is a single prime and no heights are needed
     return Predicates(
         integral=integral,
         positive=not units,
         units=units,
         reduced=reduced,
-        binoid_group=integral and d == 0,
+        binoid_group=integral and len(s.primes) == 1,
         boolean=boolean,
     )
 
@@ -319,6 +398,9 @@ class FiniteBooleanBinoid:
 
     spectrum: Spectrum
     elements: tuple[frozenset[PrimeIdeal], ...]  # deterministic order
+    # for each element, the positions of its primes in ``spectrum.primes``,
+    # ascending; parallel to ``elements``
+    positions: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     @property
     def cardinality(self) -> int:
@@ -358,36 +440,45 @@ class FiniteBooleanBinoid:
         Each basic open set is a principal down-set of primes; it is mapped
         to its largest member.
         """
-        out = {}
-        for m in self.elements:
-            if m == self.absorbing:
-                continue
-            union: set[int] = set()
-            for q in m:
-                union.update(q.gens)
-            out[m] = PrimeIdeal(union)
-        return out
+        return {
+            m: PrimeIdeal(indices(union(q.mask for q in m)))
+            for m in self.elements
+            if m != self.absorbing
+        }
 
 
 def booleanize(p: Presentation) -> FiniteBooleanBinoid:
+    """Basic open sets D(f), the primes that avoid the support of f.
+
+    The primes inside a generator subset are closed under union, so each
+    nonempty D(f) is the down-set of one prime and every prime's down-set
+    is some D(f): the elements are those down-sets plus the empty set.  The
+    down-set of a prime m is the intersection of D(x) over the generators x
+    outside m, computed on bitsets of spectrum positions, so its members
+    come out in spectrum order.  Elements are ordered by size, then by
+    their members' positions.
+    """
     s = compute_spectrum(p)
     if s.is_empty:
         raise ZeroBinoid("the zero binoid has no booleanization")
-    basic = [
-        frozenset(q for q in s.primes if i not in q.gens) for i in range(p.rank)
+    masks = [q.mask for q in s.primes]
+    avoiding = [
+        mask_of(k for k, m in enumerate(masks) if not m >> i & 1)
+        for i in range(p.rank)
     ]
-    elements: set[frozenset[PrimeIdeal]] = {frozenset(s.primes)}
-    worklist = [frozenset(s.primes)]
-    while worklist:
-        e = worklist.pop()
-        for b in basic:
-            c = e & b
-            if c not in elements:
-                elements.add(c)
-                worklist.append(c)
-    elements.add(frozenset())
-    ordered = sorted(
-        elements,
-        key=lambda e: (len(e), sorted(q.sort_key() for q in e)),
+    everything = (1 << len(masks)) - 1
+    full = (1 << p.rank) - 1
+    downs = []
+    for m in masks:
+        down = everything
+        for i in indices(full ^ m):
+            down &= avoiding[i]
+        downs.append(indices(down))
+    downs.sort(key=lambda d: (len(d), d))
+    positions = ((),) + tuple(downs)
+    primes = s.primes
+    return FiniteBooleanBinoid(
+        spectrum=s,
+        elements=tuple(frozenset(map(primes.__getitem__, d)) for d in positions),
+        positions=positions,
     )
-    return FiniteBooleanBinoid(spectrum=s, elements=tuple(ordered))

@@ -179,3 +179,24 @@ def test_threads_flag_accepted_and_inert():
     plain = run("dim", "free(x,y)")
     threaded = run("dim", "free(x,y)", "--threads", "4")
     assert plain == threaded
+
+
+def _run_bounded(*argv, seconds=30):
+    """``run`` in a daemon thread, so a hang fails the test instead of the suite."""
+    import threading
+
+    box = []
+    worker = threading.Thread(target=lambda: box.append(run(*argv)), daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), f"{argv} did not return within {seconds} s"
+    return box[0]
+
+
+def test_separated_zero_budget_returns():
+    # the witness search widens from the budget by doubling, which never
+    # grew from 0
+    code, out, _ = _run_bounded("separated", "free(x)/(2x=3x)", "--budget", "0")
+    assert code == 0 and out.strip() == "NotSeparated"
+    code, out, _ = _run_bounded("sepdim", "free(x)/(2x=3x)", "--budget", "0")
+    assert code == 0 and out.strip() == "1 (upper bound)"

@@ -1,0 +1,145 @@
+"""The bitmask spectrum kernel against the set-based oracle in tests_support."""
+
+import random
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from binoidal import simplicial, spectrum
+from binoidal.parser import parse_presentation
+from binoidal.presentation import free, make_presentation, product
+from binoidal.simplicial import from_facets, simplicial_binoid
+from binoidal.words import Word
+from tests_support import (
+    oracle_booleanize,
+    oracle_covers,
+    oracle_heights,
+    oracle_minimal,
+    oracle_minimal_nonfaces,
+    oracle_prime_dims,
+    oracle_spectrum,
+    random_presentation,
+)
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def presentations(draw, max_rank=7):
+    rank = draw(st.integers(1, max_rank))
+
+    def word():
+        exps = draw(
+            st.lists(
+                st.tuples(st.integers(0, rank - 1), st.integers(1, 3)), max_size=3
+            )
+        )
+        return Word(exps)
+
+    rels = []
+    for _ in range(draw(st.integers(0, 4))):
+        lhs = word()
+        rhs = Word.inf() if draw(st.booleans()) and draw(st.booleans()) else word()
+        rels.append((lhs, rhs))
+    return make_presentation([f"g{i}" for i in range(rank)], rels)
+
+
+@st.composite
+def complexes(draw, max_vertices=7):
+    n = draw(st.integers(1, max_vertices))
+    facets = draw(
+        st.lists(
+            st.frozensets(st.integers(0, n - 1), min_size=1, max_size=n),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    covered = set().union(*facets)
+    facets += [frozenset([v]) for v in range(n) if v not in covered]
+    names = [f"v{i}" for i in range(n)]
+    return from_facets(names, [[names[i] for i in f] for f in facets])
+
+
+def gens_of(primes):
+    return [q.gens for q in primes]
+
+
+def assert_poset_matches(s):
+    primes = gens_of(s.primes)
+    assert {q.gens: h for q, h in s.heights().items()} == oracle_heights(primes)
+    assert {q.gens: d for q, d in s.prime_dims().items()} == oracle_prime_dims(primes)
+    assert [(a.gens, b.gens) for a, b in s.covers()] == oracle_covers(primes)
+    assert gens_of(spectrum._minimal(s.primes)) == oracle_minimal(primes)
+
+
+@SETTINGS
+@given(presentations())
+def test_scan_and_poset_invariants_match_oracle(p):
+    s = spectrum.compute_spectrum(p)
+    assert gens_of(s.primes) == oracle_spectrum(p)
+    assert all(q.mask == sum(1 << i for i in q.gens) for q in s.primes)
+    assert_poset_matches(s)
+
+
+@SETTINGS
+@given(presentations(), st.data())
+def test_invariants_of_sub_spectra_match_oracle(p, data):
+    # sepdim builds a Spectrum from a subfamily of the primes
+    s = spectrum.compute_spectrum(p)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(s), max_size=len(s)))
+    sub = spectrum.Spectrum(p, tuple(q for q, k in zip(s.primes, keep) if k))
+    assert_poset_matches(sub)
+
+
+def assert_booleanize_matches(p):
+    if spectrum.compute_spectrum(p).is_empty:
+        return
+    b = spectrum.booleanize(p)
+    expected = oracle_booleanize(p)
+    primes = gens_of(b.spectrum.primes)
+    assert [[primes[k] for k in d] for d in b.positions] == expected
+    assert [sorted(q.gens for q in e) for e in b.elements] == [
+        sorted(e) for e in expected
+    ]
+
+
+@SETTINGS
+@given(presentations())
+@example(parse_presentation("free(a,b,c,d,e)/(c+2d=a+b+d)"))
+def test_booleanize_matches_oracle(p):
+    assert_booleanize_matches(p)
+
+
+def test_booleanize_matches_oracle_on_random_presentations():
+    # elements of equal size are ordered by their members, which is not the
+    # spectrum order of their largest primes
+    rng = random.Random(5)
+    for _ in range(120):
+        assert_booleanize_matches(random_presentation(rng, max_rank=6, max_rels=4))
+
+
+@SETTINGS
+@given(presentations())
+def test_binoid_group_without_heights(p):
+    s = spectrum.compute_spectrum(p)
+    if s.is_empty:
+        return
+    preds = spectrum.predicates(p)
+    dim = max(oracle_heights(gens_of(s.primes)).values())
+    assert preds.binoid_group == (preds.integral and dim == 0)
+
+
+def test_heights_of_products_of_free_binoids():
+    for k in range(1, 5):
+        s = spectrum.compute_spectrum(product([free("x")] * k))
+        assert_poset_matches(s)
+        assert max(s.heights().values()) == 2 * k - 1
+
+
+@settings(SETTINGS, max_examples=50)
+@given(complexes())
+def test_simplicial_binoid_heights_and_nonfaces_match_oracle(delta):
+    assert simplicial.minimal_nonfaces(delta) == oracle_minimal_nonfaces(delta)
+    p = simplicial_binoid(delta)
+    assert_poset_matches(spectrum.compute_spectrum(p))
+    assert simplicial.recognize_simplicial(p) == delta

@@ -106,3 +106,95 @@ def random_presentation(rng, max_rank=3, max_rels=3, max_degree=3):
         rhs = Word.inf() if rng.random() < 0.25 else rand_word()
         rels.append((lhs, rhs))
     return make_presentation(names, rels)
+
+
+# Set-based reference spectrum: the pairwise subset code that the bitmask
+# kernel in binoidal.spectrum replaced.  Primes are sorted generator tuples;
+# every comparison goes through Python sets, none through masks.
+
+
+def oracle_admissible(subset, relations):
+    for rel in relations:
+        hits_lhs = bool(rel.lhs.support() & subset)
+        if rel.is_monomial:
+            if not hits_lhs:
+                return False
+        else:
+            if hits_lhs != bool(rel.rhs.support() & subset):
+                return False
+    return True
+
+
+def oracle_spectrum(p):
+    """Admissible generator subsets, by cardinality then lexicographic."""
+    primes = []
+    for size in range(p.rank + 1):
+        for combo in itertools.combinations(range(p.rank), size):
+            if oracle_admissible(frozenset(combo), p.relations):
+                primes.append(combo)
+    return primes
+
+
+def _below(a, b):
+    return set(a) < set(b)
+
+
+def oracle_heights(primes):
+    out = {}
+    for p in sorted(primes, key=len):  # subsets come first
+        out[p] = max((out[q] + 1 for q in primes if _below(q, p)), default=0)
+    return out
+
+
+def oracle_prime_dims(primes):
+    out = {}
+    for p in sorted(primes, key=len, reverse=True):  # supersets come first
+        out[p] = max((out[q] + 1 for q in primes if _below(p, q)), default=0)
+    return out
+
+
+def oracle_covers(primes):
+    out = []
+    for p, q in itertools.permutations(primes, 2):
+        if _below(p, q) and not any(_below(p, m) and _below(m, q) for m in primes):
+            out.append((p, q))
+    return out
+
+
+def oracle_minimal(primes):
+    return [p for p in primes if not any(_below(q, p) for q in primes)]
+
+
+def oracle_booleanize(p):
+    """Basic open sets by closing the generator D-sets under intersection,
+    each as a tuple of primes in spectrum order, ordered by size then by
+    their primes."""
+    primes = oracle_spectrum(p)
+    basic = [frozenset(q for q in primes if i not in q) for i in range(p.rank)]
+    elements = {frozenset(primes)}
+    worklist = [frozenset(primes)]
+    while worklist:
+        e = worklist.pop()
+        for b in basic:
+            c = e & b
+            if c not in elements:
+                elements.add(c)
+                worklist.append(c)
+    elements.add(frozenset())
+    key = {q: (len(q), q) for q in primes}
+    listed = [sorted(e, key=key.__getitem__) for e in elements]
+    return sorted(listed, key=lambda e: (len(e), [key[q] for q in e]))
+
+
+def oracle_minimal_nonfaces(delta):
+    """Ascending by size; supersets of found nonfaces are skipped."""
+    n = len(delta.vertices)
+    found = []
+    for size in range(1, n + 1):
+        for combo in itertools.combinations(range(n), size):
+            c = frozenset(combo)
+            if any(f <= c for f in found):
+                continue
+            if not any(c <= f for f in delta.facets):
+                found.append(c)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
