@@ -165,16 +165,57 @@ def diff_group_at(p: Presentation, prime: spectrum.PrimeIdeal) -> AbelianGroupDa
     return smith_normal_form(rows, len(kept))
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the bases above has no strong pseudoprime below this
+# bound (Sorenson and Webster, 2015), so the test is exact there.
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; raises ValueError where it is not exact."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False  # b witnesses that n is composite
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"cannot certify that {n} is prime")
+    return True
+
+
+def _iroot(n: int, k: int) -> int:
+    """Largest x >= 0 with x ** k <= n, by integer Newton steps from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _is_prime_power(q: int) -> bool:
     if q < 2:
         return False
-    for p in range(2, q + 1):
-        if p * p > q:
-            return True  # q itself is prime
-        if q % p == 0:
-            while q % p == 0:
-                q //= p
-            return q == 1
+    # the largest k with q a perfect k-th power leaves a base that is no
+    # perfect power; q is a prime power exactly when that base is prime
+    for k in range(q.bit_length(), 0, -1):
+        b = _iroot(q, k)
+        if b**k == q:
+            return _is_prime(b)
     return False
 
 
@@ -208,7 +249,7 @@ def count_points(p: Presentation, q: int) -> PointCount:
 
 def brute_force_count(p: Presentation, q: int) -> int:
     """Direct enumeration of all generator assignments over a prime field."""
-    if q < 2 or any(q % k == 0 for k in range(2, int(q**0.5) + 1)):
+    if not _is_prime(q):
         raise ValueError(f"{q} is not prime")
     if q ** p.rank > BRUTE_FORCE_CAP:
         raise ValueError(f"{q}^{p.rank} exceeds the enumeration cap")

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Optional
+from operator import add
+from typing import Optional
 
 from . import rewrite, spectrum
 from .errors import ZeroBinoid
@@ -190,13 +191,35 @@ def find_positive_grading(
     return GradingVector(tuple(v // g for v in ints))
 
 
-def _nonunit_words(
-    p: Presentation, unit_gens: frozenset[int], degree: int
-) -> Iterator[Word]:
-    for v in sorted(rewrite._words_of_degree(p.rank, degree)):
-        w = Word.from_dense(v)
-        if w.support() and not (w.support() <= unit_gens):
-            yield w
+def _witness_scan(
+    p: Presentation,
+    rs: rewrite.RewriteSystem,
+    unit_gens: frozenset[int],
+    degree_budget: int,
+    first_only: bool,
+) -> list[tuple[rewrite.Vec, rewrite.Vec]]:
+    """Pairs (f, g) with f = f + g, f a finite normal form, g a nonunit.
+
+    f runs over the normal forms of degree <= budget in term order, and g
+    over the nonunit words of degree 1..budget, lexicographically within
+    each degree; each f contributes its first g.  With first_only the scan
+    stops at the first pair.
+    """
+    nonunit = [i for i in range(p.rank) if i not in unit_gens]
+    gs = [
+        v
+        for d in range(1, degree_budget + 1)
+        for v in sorted(rewrite._words_of_degree(p.rank, d))
+        if any(v[i] for i in nonunit)
+    ]
+    pairs = []
+    for f in rewrite._normal_forms(rs, degree_budget):
+        g = next((g for g in gs if rs._reduce(tuple(map(add, f, g))) == f), None)
+        if g is not None:
+            pairs.append((f, g))
+            if first_only:
+                break
+    return pairs
 
 
 def find_unseparated(
@@ -215,14 +238,11 @@ def find_unseparated(
     if s.is_empty:
         return None
     unit_gens = frozenset(range(p.rank)) - frozenset(s.max_ideal.gens)
-    forms = rewrite.enumerate_elements(rs, degree_budget)
-    for f in forms:
-        nf = rs.normal_form(f)
-        for dg in range(1, degree_budget + 1):
-            for g in _nonunit_words(p, unit_gens, dg):
-                if rs.normal_form(f + g) == nf:
-                    return (f, g)
-    return None
+    pairs = _witness_scan(p, rs, unit_gens, degree_budget, first_only=True)
+    if not pairs:
+        return None
+    f, g = pairs[0]
+    return Word.from_dense(f), Word.from_dense(g)
 
 
 def is_separated(
@@ -267,22 +287,10 @@ def sepdim(
     if s.is_empty:
         raise ZeroBinoid("the zero binoid has no separated dimension")
     unit_gens = frozenset(range(p.rank)) - frozenset(s.max_ideal.gens)
-    witnesses: list[Word] = []
-    seen: set[Word] = set()
-    for f in rewrite.enumerate_elements(rs, degree_budget):
-        nf = rs.normal_form(f)
-        if nf in seen:
-            continue
-        for dg in range(1, degree_budget + 1):
-            hit = False
-            for g in _nonunit_words(p, unit_gens, dg):
-                if rs.normal_form(f + g) == nf:
-                    witnesses.append(nf)
-                    seen.add(nf)
-                    hit = True
-                    break
-            if hit:
-                break
+    witnesses = [
+        Word.from_dense(f)
+        for f, _ in _witness_scan(p, rs, unit_gens, degree_budget, first_only=False)
+    ]
     over = [
         q for q in s.primes if all(q.contains_word(w) for w in witnesses)
     ]

@@ -17,7 +17,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from operator import le, mul, sub
+from typing import Iterator, Optional, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -56,6 +57,49 @@ def _lcm(a: Vec, b: Vec) -> Vec:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+def _reduce_by(
+    rules: Sequence[tuple[Vec, Optional[Vec]]], v: Optional[Vec]
+) -> Optional[Vec]:
+    """Reduce v by the first matching rule, repeatedly, until none matches.
+
+    A matching rule l -> r is applied k times in one step, where k is the
+    number of times it keeps matching along v + t(r - l).  k is capped at
+    the first t >= 1 where an earlier rule starts to match, so the result
+    and every intermediate vector are those of applying one rule per step.
+    That matters inside completion, whose intermediate rule lists are not
+    confluent.  The number of steps does not grow with the exponents.
+    """
+    if v is INF:
+        return INF
+    while True:
+        for j, (l, r) in enumerate(rules):
+            if all(map(le, l, v)):
+                break
+        else:
+            return v
+        if r is INF:
+            return INF
+        d = tuple(map(sub, r, l))
+        # grlex-oriented rules decrease some coordinate, so this is finite
+        k = min((x - a) // -s for x, a, s in zip(v, l, d) if s < 0) + 1
+        if k > 1:
+            for e, _ in rules[:j]:
+                # e <= v + t*d holds for t in [lo, hi]; cap k at lo
+                lo, hi = 1, k - 1
+                for x, a, s in zip(v, e, d):
+                    if s > 0:
+                        lo = max(lo, -((x - a) // s))
+                    elif s < 0:
+                        hi = min(hi, (x - a) // -s)
+                    elif x < a:
+                        hi = 0
+                    if lo > hi:
+                        break
+                else:
+                    k = lo
+        v = tuple(x + k * s for x, s in zip(v, d))
+
+
 @dataclass(frozen=True)
 class RewriteRule:
     lhs: Word
@@ -84,19 +128,7 @@ class RewriteSystem:
         return self.source.rank
 
     def _reduce(self, v: Optional[Vec]) -> Optional[Vec]:
-        if v is INF:
-            return INF
-        changed = True
-        while changed:
-            changed = False
-            for l, r in self._rules:
-                if _divides(l, v):
-                    if r is INF:
-                        return INF
-                    v = _add(_sub(v, l), r)
-                    changed = True
-                    break
-        return v
+        return _reduce_by(self._rules, v)
 
     def normal_form(self, w: Word) -> Word:
         if w.is_inf:
@@ -144,21 +176,6 @@ def complete(p: Presentation, budget: int = DEFAULT_BUDGET) -> RewriteSystem:
 
     rules: list[tuple[Vec, Optional[Vec]]] = []
 
-    def reduce(v: Optional[Vec]) -> Optional[Vec]:
-        if v is INF:
-            return INF
-        changed = True
-        while changed:
-            changed = False
-            for l, rr in rules:
-                if _divides(l, v):
-                    if rr is INF:
-                        return INF
-                    v = _add(_sub(v, l), rr)
-                    changed = True
-                    break
-        return v
-
     processed = 0
     while pending:
         a, b = pending.popleft()
@@ -167,8 +184,8 @@ def complete(p: Presentation, budget: int = DEFAULT_BUDGET) -> RewriteSystem:
             raise BudgetExceeded(
                 f"completion exceeded the budget of {budget} rule candidates"
             )
-        a = reduce(a)
-        b = reduce(b)
+        a = _reduce_by(rules, a)
+        b = _reduce_by(rules, b)
         if a == b:
             continue
         lhs, rhs = _orient(a, b)
@@ -217,20 +234,21 @@ def iter_words(r: int, max_degree: int) -> Iterator[Vec]:
         yield from _words_of_degree(r, d)
 
 
+def _normal_forms(rs: RewriteSystem, degree_bound: int) -> list[Vec]:
+    """The elements ``enumerate_elements`` lists, as exponent vectors."""
+    if degree_bound < 0:
+        raise ValueError("degree bound must be nonnegative")
+    seen = {rs._reduce(v) for v in iter_words(rs.rank, degree_bound)}
+    seen.discard(INF)
+    return sorted(seen, key=_key)
+
+
 def enumerate_elements(rs: RewriteSystem, degree_bound: int) -> list[Word]:
     """Distinct finite normal forms of all words of degree <= bound.
 
     Sorted ascending in the term order; the absorbing class is excluded.
     """
-    if degree_bound < 0:
-        raise ValueError("degree bound must be nonnegative")
-    r = rs.rank
-    seen: set[Vec] = set()
-    for v in iter_words(r, degree_bound):
-        nf = rs._reduce(v)
-        if nf is not INF:
-            seen.add(nf)
-    return [Word.from_dense(v) for v in sorted(seen, key=_key)]
+    return [Word.from_dense(v) for v in _normal_forms(rs, degree_bound)]
 
 
 def _validate_grading(p: Presentation, rs: RewriteSystem, weights) -> None:
@@ -269,11 +287,23 @@ def order_delta(
     _validate_grading(p, rs, weights)
     if rs.normal_form(w).is_inf:
         raise IsInfinity("the absorbing class has no order")
-    grade = sum(weights[i] * e for i, e in w.exps)
-    best = 0
+    v = w.dense(rs.rank)
+    return _level_orders(rs, weights, _weight(weights, v))[rs._reduce(v)]
+
+
+def _weight(weights: tuple[int, ...], v: Vec) -> int:
+    return sum(map(mul, weights, v))
+
+
+def _level_orders(
+    rs: RewriteSystem, weights: tuple[int, ...], grade: int
+) -> dict[Vec, int]:
+    """Largest degree of a word in each finite class of one weight level."""
+    best: dict[Vec, int] = {}
     for v in _weighted_level(weights, grade):
-        if rs.equal(Word.from_dense(v), w):
-            best = max(best, sum(v))
+        nf = rs._reduce(v)
+        if nf is not INF and best.get(nf, -1) < sum(v):
+            best[nf] = sum(v)
     return best
 
 
@@ -315,8 +345,12 @@ def hilbert_samuel(p: Presentation, n: int, rs: RewriteSystem | None = None) -> 
         raise NoPositiveGrading(
             "no positive grading; the order function may be infinite"
         )
+    _validate_grading(p, rs, grading.weights)
+    levels: dict[int, list[Vec]] = {}
+    for v in _normal_forms(rs, n - 1):
+        levels.setdefault(_weight(grading.weights, v), []).append(v)
     count = 0
-    for w in enumerate_elements(rs, n - 1):
-        if order_delta(p, grading, w, rs=rs) < n:
-            count += 1
+    for grade, forms in levels.items():
+        orders = _level_orders(rs, grading.weights, grade)
+        count += sum(orders[v] < n for v in forms)
     return count

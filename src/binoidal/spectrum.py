@@ -301,6 +301,7 @@ def is_nilpotent(p: Presentation, w: Word) -> bool:
 def radical_membership(p: Presentation, w: Word, ideal_gens: Iterable[Word]) -> bool:
     if w.is_inf:
         return True
+    ideal_gens = list(ideal_gens)  # read once per prime below
     s = compute_spectrum(p)
     if s.is_empty:
         return True

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from binoidal import rewrite
 from binoidal.algebra import (
@@ -13,6 +15,7 @@ from binoidal.algebra import (
     SHARED_FACTOR,
     UNIT_RELATION,
     AbelianGroupData,
+    _is_prime_power,
     brute_force_count,
     classify_one_generated,
     count_points,
@@ -334,3 +337,34 @@ def test_count_points_per_prime_breakdown():
     result = count_points(p, 3)
     assert [n for _, _, n in result.per_prime] == [2, 2, 1]
     assert predicates(p).positive
+
+
+def _trial_division_prime_power(q):
+    if q < 2:
+        return False
+    p = 2
+    while p * p <= q:
+        if q % p == 0:
+            while q % p == 0:
+                q //= p
+            return q == 1
+        p += 1
+    return True
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(st.integers(-1, 10**5))
+@example(2**16)
+@example(3**10)
+@example(7**5)
+@example(2 * 3**9)
+@example(99991)
+def test_prime_power_test_matches_trial_division(q):
+    assert _is_prime_power(q) == _trial_division_prime_power(q)
+
+
+def test_prime_power_test_refuses_what_it_cannot_certify():
+    assert _is_prime_power(2**127)
+    assert not _is_prime_power(3 * (2**127 - 1))
+    with pytest.raises(ValueError, match="cannot certify"):
+        _is_prime_power(2**127 - 1)

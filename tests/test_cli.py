@@ -200,3 +200,20 @@ def test_separated_zero_budget_returns():
     assert code == 0 and out.strip() == "NotSeparated"
     code, out, _ = _run_bounded("sepdim", "free(x)/(2x=3x)", "--budget", "0")
     assert code == 0 and out.strip() == "1 (upper bound)"
+
+
+def test_nf_with_huge_exponents_returns():
+    # one rule step per loop needed 2*10^9 steps here
+    code, out, _ = _run_bounded(
+        "nf", "free(x,y)/(2x=x, x+y=y)", "1000000000x+1000000000y"
+    )
+    assert code == 0 and out == "1000000000y\n"
+
+
+def test_count_points_with_a_large_prime_returns():
+    # trial division up to the square root never finished for this q
+    q = 1000000000000000003
+    code, out, _ = _run_bounded("count-points", "free(x)", "--q", str(q))
+    assert code == 0 and out == f"{q}\n"
+    code, _, err = _run_bounded("count-points", "free(x)", "--q", str(q), "--oracle")
+    assert code == 1 and "enumeration cap" in err

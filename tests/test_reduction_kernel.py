@@ -1,0 +1,154 @@
+"""The tuple reduction kernel against the reference loops in tests_support."""
+
+from unittest import mock
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from binoidal import grading, rewrite
+from binoidal.errors import BudgetExceeded, ZeroBinoid
+from binoidal.parser import parse_presentation
+from binoidal.presentation import make_presentation
+from binoidal.words import Word
+from tests_support import (
+    oracle_hilbert_samuel,
+    oracle_order_delta,
+    oracle_reduce,
+    oracle_sepdim,
+    oracle_witness_pairs,
+)
+
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def vectors(rank, top):
+    return st.tuples(*[st.integers(0, top)] * rank)
+
+
+@st.composite
+def rule_lists(draw, rank):
+    """Grlex-oriented rules in any order, so usually not confluent."""
+    rules = []
+    for _ in range(draw(st.integers(0, 6))):
+        a = draw(vectors(rank, 3))
+        b = None if draw(st.integers(0, 4)) == 0 else draw(vectors(rank, 3))
+        if a != b and a != (0,) * rank:
+            rules.append(rewrite._orient(a, b))
+    return rules
+
+
+@st.composite
+def reductions(draw):
+    rank = draw(st.integers(1, 4))
+    return draw(rule_lists(rank)), draw(vectors(rank, 40))
+
+
+@SETTINGS
+@given(reductions())
+# x -> y may run only one step at a time, because x+y -> x matches after
+# each; run 6 times in one step it would end at 6y instead of y
+@example(([((1, 1), (1, 0)), ((1, 0), (0, 1))], (6, 0)))
+def test_reduce_by_follows_the_one_step_path(case):
+    rules, v = case
+    assert rewrite._reduce_by(rules, v) == oracle_reduce(rules, v)
+
+
+@st.composite
+def presentations(draw, max_rank=5):
+    rank = draw(st.integers(1, max_rank))
+
+    def word():
+        exps = st.tuples(st.integers(0, rank - 1), st.integers(1, 3))
+        return Word(draw(st.lists(exps, max_size=3)))
+
+    rels = []
+    for _ in range(draw(st.integers(0, 4))):
+        lhs = word()
+        rhs = Word.inf() if draw(st.integers(0, 3)) == 0 else word()
+        rels.append((lhs, rhs))
+    return make_presentation([f"g{i}" for i in range(rank)], rels)
+
+
+def _smallest_budget(p):
+    """Candidates completion processes: the smallest budget it passes with.
+
+    Passing is monotone in the budget, so every smaller budget raises
+    BudgetExceeded and every larger one passes.
+    """
+    def passes(budget):
+        try:
+            rewrite.complete(p, budget=budget)
+        except BudgetExceeded:
+            return False
+        return True
+
+    if passes(0):
+        return 0
+    lo, hi = 0, 1
+    while not passes(hi):
+        lo, hi = hi, 2 * hi
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+    return hi
+
+
+@SETTINGS
+@given(presentations())
+# bulk steps without the cap complete this one with 120 candidates, not 114
+@example(
+    parse_presentation(
+        "free(g0,g1,g2,g3)/(0=g0+g1+2g3, g2+2g3=2g0+g3,"
+        " 2g0+2g3=g0+g2+g3, g2+3g3=g0+2g1)"
+    )
+)
+def test_completion_matches_the_one_step_reducer(p):
+    rules = rewrite.complete(p)._rules
+    budget = _smallest_budget(p)
+    with mock.patch.object(rewrite, "_reduce_by", oracle_reduce):
+        assert rewrite.complete(p)._rules == rules
+        assert _smallest_budget(p) == budget
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(presentations(max_rank=4), st.integers(0, 4))
+def test_witness_search_matches_the_word_loops(p, budget):
+    pairs = oracle_witness_pairs(p, budget)
+    assert grading.find_unseparated(p, budget) == (pairs[0] if pairs else None)
+    if pairs is None:
+        with pytest.raises(ZeroBinoid):
+            grading.sepdim(p, budget)
+        return
+    assert grading.sepdim(p, budget) == oracle_sepdim(p, budget)
+
+
+@st.composite
+def graded_presentations(draw):
+    """Relations homogeneous for random weights, so a positive grading exists."""
+    rank = draw(st.integers(1, 4))
+    weights = draw(st.tuples(*[st.integers(1, 2)] * rank))
+    rels = []
+    for _ in range(draw(st.integers(0, 3))):
+        level = list(rewrite._weighted_level(weights, draw(st.integers(1, 5))))
+        if not level:
+            continue
+        lhs = Word.from_dense(draw(st.sampled_from(level)))
+        if draw(st.integers(0, 3)) == 0:
+            rhs = Word.inf()
+        else:
+            rhs = Word.from_dense(draw(st.sampled_from(level)))
+        rels.append((lhs, rhs))
+    return make_presentation([f"g{i}" for i in range(rank)], rels)
+
+
+@SETTINGS
+@given(graded_presentations(), st.integers(1, 6))
+def test_hilbert_samuel_matches_the_per_element_loop(p, n):
+    assert rewrite.hilbert_samuel(p, n) == oracle_hilbert_samuel(p, n)
+    rs = rewrite.complete(p)
+    weights = grading.find_positive_grading(p, rs=rs).weights
+    for w in rewrite.enumerate_elements(rs, n - 1)[:4]:
+        assert rewrite.order_delta(p, weights, w, rs=rs) == oracle_order_delta(
+            p, weights, w, rs
+        )

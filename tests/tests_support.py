@@ -2,7 +2,14 @@
 
 import itertools
 
-from binoidal.presentation import make_presentation
+from binoidal import grading, rewrite, spectrum
+from binoidal.errors import (
+    IsInfinity,
+    NoPositiveGrading,
+    NotPositive,
+    ZeroBinoid,
+)
+from binoidal.presentation import make_presentation, rees_quotient
 from binoidal.words import Word
 
 INF_NODE = "inf"
@@ -198,3 +205,101 @@ def oracle_minimal_nonfaces(delta):
             if not any(c <= f for f in delta.facets):
                 found.append(c)
     return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+# Reference word-problem loops: the one-rule-per-step reducer and the
+# Word-based witness and Hilbert-Samuel loops that the tuple kernel in
+# binoidal.rewrite and binoidal.grading replaced.
+
+
+def oracle_reduce(rules, v):
+    """Apply the first matching rule once, then rescan from the first rule."""
+    if v is None:
+        return None
+    changed = True
+    while changed:
+        changed = False
+        for l, r in rules:
+            if all(a <= b for a, b in zip(l, v)):
+                if r is None:
+                    return None
+                v = tuple(x - a + b for x, a, b in zip(v, l, r))
+                changed = True
+                break
+    return v
+
+
+def _oracle_nonunit_words(p, unit_gens, degree):
+    for v in sorted(rewrite._words_of_degree(p.rank, degree)):
+        w = Word.from_dense(v)
+        if w.support() and not (w.support() <= unit_gens):
+            yield w
+
+
+def oracle_witness_pairs(p, degree_budget):
+    """Every normal form f of degree <= budget with its first nonunit g,
+    f = f + g, searched by (deg f, deg g, term order) as Words; None for the
+    zero binoid."""
+    rs = rewrite.complete(p)
+    s = spectrum.compute_spectrum(p)
+    if s.is_empty:
+        return None
+    unit_gens = frozenset(range(p.rank)) - frozenset(s.max_ideal.gens)
+    pairs = []
+    for f in rewrite.enumerate_elements(rs, degree_budget):
+        nf = rs.normal_form(f)
+        for dg in range(1, degree_budget + 1):
+            g = next(
+                (
+                    g
+                    for g in _oracle_nonunit_words(p, unit_gens, dg)
+                    if rs.normal_form(f + g) == nf
+                ),
+                None,
+            )
+            if g is not None:
+                pairs.append((f, g))
+                break
+    return pairs
+
+
+def oracle_sepdim(p, degree_budget):
+    pairs = oracle_witness_pairs(p, degree_budget)
+    if pairs is None:
+        raise ZeroBinoid("the zero binoid has no separated dimension")
+    witnesses = [f for f, _ in pairs]
+    s = spectrum.compute_spectrum(p)
+    over = [q for q in s.primes if all(q.contains_word(w) for w in witnesses)]
+    value = max(spectrum.Spectrum(p, tuple(over)).heights().values()) if over else -1
+    quotient = rees_quotient(p, witnesses)
+    verdict = grading.is_separated(quotient, degree_budget).verdict
+    return value, verdict == grading.SEPARATED
+
+
+def oracle_order_delta(p, weights, w, rs):
+    """Largest degree of a word in the weight level of w that equals w."""
+    if spectrum.predicates(p, rs=rs).units:
+        raise NotPositive("order function requires a positive binoid")
+    rewrite._validate_grading(p, rs, weights)
+    if rs.normal_form(w).is_inf:
+        raise IsInfinity("the absorbing class has no order")
+    grade = sum(weights[i] * e for i, e in w.exps)
+    best = 0
+    for v in rewrite._weighted_level(weights, grade):
+        if rs.equal(Word.from_dense(v), w):
+            best = max(best, sum(v))
+    return best
+
+
+def oracle_hilbert_samuel(p, n):
+    """Count the elements of degree < n whose order is < n, one order each."""
+    rs = rewrite.complete(p)
+    if spectrum.predicates(p, rs=rs).units:
+        raise NotPositive("Hilbert-Samuel values require a positive binoid")
+    found = grading.find_positive_grading(p, rs=rs)
+    if found is None:
+        raise NoPositiveGrading("no positive grading")
+    return sum(
+        oracle_order_delta(p, found.weights, w, rs) < n
+        for w in rewrite.enumerate_elements(rs, n - 1)
+    )
