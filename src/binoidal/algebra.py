@@ -165,9 +165,10 @@ def diff_group_at(p: Presentation, prime: spectrum.PrimeIdeal) -> AbelianGroupDa
     return smith_normal_form(rows, len(kept))
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# Miller-Rabin with the bases above has no strong pseudoprime below this
-# bound (Sorenson and Webster, 2015), so the test is exact there.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The bound is psi_13, the least strong pseudoprime to the first thirteen
+# prime bases (Sorenson and Webster, 2015), so the test is exact below it.
+# Dropping 41 would lower it to psi_12 = 318665857834031151167461.
 _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 

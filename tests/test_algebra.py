@@ -368,3 +368,13 @@ def test_prime_power_test_refuses_what_it_cannot_certify():
     assert not _is_prime_power(3 * (2**127 - 1))
     with pytest.raises(ValueError, match="cannot certify"):
         _is_prime_power(2**127 - 1)
+
+
+def test_prime_power_test_rejects_strong_pseudoprimes_below_its_bound():
+    # psi_12 passes every prime base up to 37; base 41 exposes it
+    psi_12 = 318665857834031151167461
+    assert not _is_prime_power(psi_12)
+    assert not _is_prime_power(psi_12**2)
+    # psi_13 also passes base 41 and lies at the bound, so it is refused
+    with pytest.raises(ValueError, match="cannot certify"):
+        _is_prime_power(3317044064679887385961981)

@@ -180,11 +180,11 @@ def test_nilpotency_and_radical_membership():
     assert not radical_membership(edge, parse_term("y", edge), [parse_term("2x", edge)])
 
 
-
 def test_radical_membership_reads_an_iterator_once_per_prime():
     edge = parse_presentation("free(x,y)/(x+y=inf)")
     x = parse_term("x", edge)
     assert radical_membership(edge, x, iter([x])) == radical_membership(edge, x, [x])
+
 
 def test_union_of_primes_is_admissible():
     rng = random.Random(777)
