@@ -52,6 +52,22 @@ def _monomial_str(w: Word, variables: Sequence[str]) -> str:
     return "*".join(parts) if parts else "1"
 
 
+# dialect -> (template, text of the zero ideal)
+RING_DIALECTS = {
+    "generic": ("ring K[{ring}]; ideal ({ideal})", "0"),
+    "macaulay2": ("R = QQ[{ring}];\nI = ideal({ideal});", "0_R"),
+    "singular": ("ring R = 0,({ring}),dp;\nideal I = {ideal};", "0"),
+}
+
+
+def ring_text(variables: Sequence[str], gens: Sequence[str], fmt: str) -> str:
+    """The polynomial ring on the variables modulo the ideal of gens, in one dialect."""
+    if fmt not in RING_DIALECTS:
+        raise ValueError(f"unknown format {fmt!r}")
+    template, zero = RING_DIALECTS[fmt]
+    return template.format(ring=",".join(variables), ideal=", ".join(gens) or zero)
+
+
 def export_algebra(p: Presentation, fmt: str = "generic") -> str:
     """Emit the binoid algebra as a polynomial quotient ring.
 
@@ -67,16 +83,7 @@ def export_algebra(p: Presentation, fmt: str = "generic") -> str:
             gens.append(lhs)
         else:
             gens.append(f"{lhs} - {_monomial_str(rel.rhs, variables)}")
-    if fmt == "generic":
-        body = ", ".join(gens) if gens else "0"
-        return f"ring K[{','.join(variables)}]; ideal ({body})"
-    if fmt == "macaulay2":
-        body = ", ".join(gens) if gens else "0_R"
-        return f"R = QQ[{','.join(variables)}];\nI = ideal({body});"
-    if fmt == "singular":
-        body = ", ".join(gens) if gens else "0"
-        return f"ring R = 0,({','.join(variables)}),dp;\nideal I = {body};"
-    raise ValueError(f"unknown format {fmt!r}")
+    return ring_text(variables, gens, fmt)
 
 
 def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int) -> AbelianGroupData:

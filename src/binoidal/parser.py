@@ -210,10 +210,15 @@ def parse_complex(text: str) -> SimplicialComplex:
             raise ParseError(f"invalid JSON complex: {exc.msg}", exc.lineno, exc.colno)
         if not isinstance(data, dict) or set(data) != {"vertices", "facets"}:
             raise ParseError("JSON complex needs 'vertices' and 'facets'", 1, 1)
+        vertices, facets = data["vertices"], data["facets"]
+        if not isinstance(vertices, list) or not (
+            isinstance(facets, list) and all(isinstance(f, list) for f in facets)
+        ):
+            raise ParseError("JSON complex needs a vertex list and facet lists", 1, 1)
         try:
             return from_facets(
-                [str(v) for v in data["vertices"]],
-                [[str(v) for v in f] for f in data["facets"]],
+                [str(v) for v in vertices],
+                [[str(v) for v in f] for f in facets],
             )
         except PresentationError as exc:
             raise ParseError(str(exc), 1, 1) from exc

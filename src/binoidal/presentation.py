@@ -78,12 +78,6 @@ class Presentation:
     def rank(self) -> int:
         return len(self.generators)
 
-    def index_of(self, name: str) -> int:
-        try:
-            return self.generators.index(name)
-        except ValueError:
-            raise PresentationError(f"unknown generator name {name!r}") from None
-
     def binomial_relations(self) -> list[Relation]:
         return [rel for rel in self.relations if not rel.is_monomial]
 
@@ -247,15 +241,12 @@ def bipointed_union(p1: Presentation, p2: Presentation) -> Presentation:
             raise NotPositive(
                 f"bipointed union requires positive factors; {p.pretty()} has units"
             )
-    names = _disjoint_names([p1.generators, p2.generators])
-    gens = names[0] + names[1]
-    off = len(p1.generators)
-    rels = [(rel.lhs, rel.rhs) for rel in p1.relations]
-    rels += [(_shift(rel.lhs, off), _shift(rel.rhs, off)) for rel in p2.relations]
+    s = smash(p1, p2)
+    rels = [(rel.lhs, rel.rhs) for rel in s.relations]
     for i in range(p1.rank):
         for j in range(p2.rank):
-            rels.append((Word.generator(i) + Word.generator(off + j), Word.inf()))
-    return make_presentation(gens, rels)
+            rels.append((Word.generator(i) + Word.generator(p1.rank + j), Word.inf()))
+    return make_presentation(s.generators, rels)
 
 
 def rees_quotient(p: Presentation, ideal_gens: Iterable[Word]) -> Presentation:

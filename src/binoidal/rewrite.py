@@ -112,7 +112,6 @@ class RewriteRule:
 @dataclass(frozen=True)
 class RewriteSystem:
     source: Presentation
-    order: str
     _rules: tuple[tuple[Vec, Optional[Vec]], ...] = field(repr=False)
 
     @property
@@ -207,15 +206,7 @@ def complete(p: Presentation, budget: int = DEFAULT_BUDGET) -> RewriteSystem:
         keep.append((lhs, rhs))
         rules = keep
     rules.sort(key=lambda lr: _key(lr[0]))
-    return RewriteSystem(source=p, order="grlex", _rules=tuple(rules))
-
-
-def normal_form(rs: RewriteSystem, w: Word) -> Word:
-    return rs.normal_form(w)
-
-
-def equal(rs: RewriteSystem, u: Word, v: Word) -> bool:
-    return rs.equal(u, v)
+    return RewriteSystem(source=p, _rules=tuple(rules))
 
 
 def _words_of_degree(r: int, d: int) -> Iterator[Vec]:

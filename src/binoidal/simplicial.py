@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import rewrite, spectrum
+from .algebra import ring_text
 from .bitmask import bits, indices, mask_of, submasks, word_mask
 from .errors import PresentationError, TooManyGenerators
 from .presentation import Presentation, make_presentation
@@ -35,15 +36,6 @@ class SimplicialComplex:
     vertices: tuple[str, ...]
     facets: tuple[frozenset[int], ...]  # index sets, sorted canonically
 
-    def vertex_index(self, name: str) -> int:
-        try:
-            return self.vertices.index(name)
-        except ValueError:
-            raise PresentationError(f"unknown vertex {name!r}") from None
-
-    def facet_names(self) -> list[list[str]]:
-        return [[self.vertices[i] for i in sorted(f)] for f in self.facets]
-
     def faces(self) -> list[frozenset[int]]:
         if len(self.vertices) > VERTEX_CAP:
             raise TooManyGenerators(
@@ -56,10 +48,6 @@ class SimplicialComplex:
                 for combo in itertools.combinations(members, size):
                     seen.add(frozenset(combo))
         return sorted(seen, key=lambda s: (len(s), sorted(s)))
-
-    def has_face(self, candidate: Iterable[int]) -> bool:
-        c = frozenset(candidate)
-        return any(c <= f for f in self.facets)
 
     def pretty(self) -> str:
         body = ",".join(
@@ -263,16 +251,7 @@ def sr_ideal(
         "*".join(variables[i] for i in sorted(nf))
         for nf in minimal_nonfaces(delta)
     ]
-    if fmt == "generic":
-        gens = ", ".join(monomials) if monomials else "0"
-        return f"ring K[{','.join(variables)}]; ideal ({gens})"
-    if fmt == "macaulay2":
-        gens = ", ".join(monomials) if monomials else "0_R"
-        return f"R = QQ[{','.join(variables)}];\nI = ideal({gens});"
-    if fmt == "singular":
-        gens = ", ".join(monomials) if monomials else "0"
-        return f"ring R = 0,({','.join(variables)}),dp;\nideal I = {gens};"
-    raise ValueError(f"unknown format {fmt!r}")
+    return ring_text(variables, monomials, fmt)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ everything under addition.  Words are immutable and hashable.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import IsInfinity
 
@@ -46,10 +46,6 @@ class Word:
     @classmethod
     def zero(cls) -> "Word":
         return cls()
-
-    @classmethod
-    def from_mapping(cls, m: Mapping[int, int]) -> "Word":
-        return cls(m.items())
 
     @classmethod
     def generator(cls, i: int, exp: int = 1) -> "Word":

@@ -2,6 +2,8 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from binoidal.cli import main
 from binoidal.dot import validate_dot
 
@@ -217,3 +219,293 @@ def test_count_points_with_a_large_prime_returns():
     assert code == 0 and out == f"{q}\n"
     code, _, err = _run_bounded("count-points", "free(x)", "--q", str(q), "--oracle")
     assert code == 1 and "enumeration cap" in err
+
+
+# One call per verb with its exact stdout and exit code: the --json payload
+# where the verb has one, raw text for DOT and the ring exports.
+GOLDEN = [
+    (
+        ['spec', 'free(x,y)/(x+y=2x)', '--json'],
+        0,
+        (
+            '{"command": "spec", "input": "free(x,y)/(x+y=2x)", '
+            '"result": {"primes": [[], ["x"], ["x", "y"]]}}\n'
+        ),
+    ),
+    (
+        ['spec', 'free(x,y)/(x+y=2x)', '--dot'],
+        0,
+        (
+            'digraph spec {\n'
+            '  rankdir=BT;\n'
+            '  "{}";\n'
+            '  "{x}";\n'
+            '  "{x,y}";\n'
+            '  "{}" -> "{x}";\n'
+            '  "{x}" -> "{x,y}";\n'
+            '}\n'
+        ),
+    ),
+    (
+        ['dim', 'free(x,y,z)/(x+y=inf)', '--json'],
+        0,
+        '{"command": "dim", "input": "free(x,y,z)/(x+y=inf)", "result": {"dim": 2}}\n',
+    ),
+    (
+        ['fvector', 'free(x,y,z)/(x+y=inf)', '--json'],
+        0,
+        (
+            '{"command": "fvector", "input": "free(x,y,z)/(x+y=inf)", '
+            '"result": {"f": [1, 3, 2]}}\n'
+        ),
+    ),
+    (
+        ['minimal-primes', 'free(x,y,z)/(x+y=inf)', '--over', 'z', '--json'],
+        0,
+        (
+            '{"command": "minimal-primes", "input": "free(x,y,z)/(x+y=inf)", '
+            '"result": {"minimal_primes": [["x", "z"], ["y", "z"]]}}\n'
+        ),
+    ),
+    (
+        ['predicates', 'free(x,y)/(x+y=0)', '--json'],
+        0,
+        (
+            '{"command": "predicates", "input": "free(x,y)/(x+y=0)", '
+            '"result": {"binoid_group": true, "boolean": false, "integral": true, '
+            '"positive": false, "reduced": true, "units": ["x", "y"]}}\n'
+        ),
+    ),
+    (
+        ['bool', 'free(x,y)/(x+y=inf)', '--json'],
+        0,
+        (
+            '{"command": "bool", "input": "free(x,y)/(x+y=inf)", '
+            '"result": {"cardinality": 4, "elements": [[], [["x"]], [["y"]], [["x"], '
+            '["y"], ["x", "y"]]]}}\n'
+        ),
+    ),
+    (
+        ['bool', 'free(x,y)/(x+y=inf)', '--dot'],
+        0,
+        (
+            'digraph bool {\n'
+            '  rankdir=BT;\n'
+            '  "{}";\n'
+            '  "{{x}}";\n'
+            '  "{{y}}";\n'
+            '  "{{x},{y},{x,y}}";\n'
+            '  "{}" -> "{{x}}";\n'
+            '  "{}" -> "{{y}}";\n'
+            '  "{{x}}" -> "{{x},{y},{x,y}}";\n'
+            '  "{{y}}" -> "{{x},{y},{x,y}}";\n'
+            '}\n'
+        ),
+    ),
+    (
+        ['gb', 'free(x,y)/(2x=x+y, x+y=3y)', '--json'],
+        0,
+        (
+            '{"command": "gb", "input": "free(x,y)/(2x=x+y, x+y=3y)", '
+            '"result": {"rules": [{"lhs": "2x", "rhs": "x+y"}, {"lhs": "3y", '
+            '"rhs": "x+y"}]}}\n'
+        ),
+    ),
+    (
+        ['nf', 'free(x,y)/(x+y=2x)', '3x', '--json'],
+        0,
+        (
+            '{"command": "nf", "input": ["free(x,y)/(x+y=2x)", "3x"], '
+            '"result": {"nf": "x+2y"}}\n'
+        ),
+    ),
+    (
+        ['eq', 'free(x,y)/(x+y=2x)', '3x', 'x+2y', '--json'],
+        0,
+        (
+            '{"command": "eq", "input": ["free(x,y)/(x+y=2x)", "3x", "x+2y"], '
+            '"result": {"equal": true}}\n'
+        ),
+    ),
+    (
+        ['hilbert', '3', 'free(x,y)', '--json'],
+        0,
+        (
+            '{"command": "hilbert", "input": [3, "free(x,y)"], "result": {"n": 3, '
+            '"value": 6}}\n'
+        ),
+    ),
+    (
+        ['grading', 'free(x,y)/(2x=3y)', '--json'],
+        0,
+        (
+            '{"command": "grading", "input": "free(x,y)/(2x=3y)", '
+            '"result": {"grading": [3, 2]}}\n'
+        ),
+    ),
+    (
+        ['separated', 'free(x)/(3x=x)', '--json'],
+        0,
+        (
+            '{"command": "separated", "input": "free(x)/(3x=x)", '
+            '"result": {"certified": false, "grading": null, '
+            '"verdict": "NotSeparated", "witness": {"f": "x", "g": "2x"}}}\n'
+        ),
+    ),
+    (
+        ['sepdim', 'free(x,y,z)/(y+x=y, z+x=z)', '--json'],
+        0,
+        (
+            '{"command": "sepdim", "input": "free(x,y,z)/(x+y=y, x+z=z)", '
+            '"result": {"certified": true, "value": 1}}\n'
+        ),
+    ),
+    (
+        ['count-points', 'free(x,y)/(2x=2y)', '--q', '5', '--oracle', '--json'],
+        0,
+        (
+            '{"command": "count-points", "input": "free(x,y)/(2x=2y)", '
+            '"result": {"count": 9, "oracle": 9, "per_prime": [{"count": 8, '
+            '"factors": [2], "prime": [], "rank": 1}, {"count": 1, "factors": [], '
+            '"prime": ["x", "y"], "rank": 0}], "q": 5}}\n'
+        ),
+    ),
+    (
+        ['export-algebra', 'free(x,y)/(2x=3y, x+y=inf)', '--format', 'macaulay2'],
+        0,
+        (
+            'R = QQ[X1,X2];\n'
+            'I = ideal(X1^2 - X2^3, X1*X2);\n'
+        ),
+    ),
+    (
+        ['hypersurface-connected', 'free(x)/(3x=x)', '--json'],
+        0,
+        (
+            '{"command": "hypersurface-connected", "input": "free(x)/(3x=x)", '
+            '"result": {"assumption": "algebraically closed field of characteristic zero", '
+            '"case": "SharedFactor", "verdict": "Disconnected", "witness": "2x"}}\n'
+        ),
+    ),
+    (
+        ['classify-one-gen', 'free(x)/(5x=2x)', '--json'],
+        0,
+        (
+            '{"command": "classify-one-gen", "input": "free(x)/(5x=2x)", '
+            '"result": {"initial_pair": [2, 5], "loop_length": 3, "modulus": null, '
+            '"type": "Loop"}}\n'
+        ),
+    ),
+    (
+        ['smash', 'free(x)/(2x=inf)', 'free(y)', '--json'],
+        0,
+        (
+            '{"command": "smash", "input": ["free(x)/(2x=inf)", "free(y)"], '
+            '"result": {"presentation": "free(x,y)/(2x=inf)"}}\n'
+        ),
+    ),
+    (
+        ['product', 'free(x)', 'free(y)/(2y=y)', '--json'],
+        0,
+        (
+            '{"command": "product", "input": ["free(x)", "free(y)/(2y=y)"], '
+            '"result": {"presentation": "free(x,y,abs1,abs2)/(2abs1=abs1, '
+            'x+abs1=abs1, 2y=y, 2abs2=abs2, y+abs2=abs2, abs1+abs2=inf)"}}\n'
+        ),
+    ),
+    (
+        ['biunion', 'free(x)/(2x=x)', 'free(y)', '--json'],
+        0,
+        (
+            '{"command": "biunion", "input": ["free(x)/(2x=x)", "free(y)"], '
+            '"result": {"presentation": "free(x,y)/(2x=x, x+y=inf)"}}\n'
+        ),
+    ),
+    (
+        ['quotient', 'free(x,y)', 'x+y', '2x', '--json'],
+        0,
+        (
+            '{"command": "quotient", "input": ["free(x,y)", "x+y", "2x"], '
+            '"result": {"presentation": "free(x,y)/(x+y=inf, 2x=inf)"}}\n'
+        ),
+    ),
+    (
+        ['simplicial:fvector', 'complex{1,2,3,4; {1,2,3},{3,4}}', '--json'],
+        0,
+        (
+            '{"command": "simplicial:fvector", '
+            '"input": "complex{1,2,3,4; {3,4},{1,2,3}}", "result": {"dim": 2, '
+            '"f": [1, 4, 4, 1]}}\n'
+        ),
+    ),
+    (
+        ['simplicial:nonfaces', 'complex{1,2,3,4; {1,2,3},{3,4}}', '--json'],
+        0,
+        (
+            '{"command": "simplicial:nonfaces", '
+            '"input": "complex{1,2,3,4; {3,4},{1,2,3}}", '
+            '"result": {"minimal_nonfaces": [["1", "4"], ["2", "4"]]}}\n'
+        ),
+    ),
+    (
+        ['simplicial:components', 'complex{1,2,3,4; {1,2},{3,4}}', '--json'],
+        0,
+        (
+            '{"command": "simplicial:components", '
+            '"input": "complex{1,2,3,4; {1,2},{3,4}}", '
+            '"result": {"components": ["complex{1,2; {1,2}}", '
+            '"complex{3,4; {3,4}}"]}}\n'
+        ),
+    ),
+    (
+        ['simplicial:binoid', 'complex{1,2,3; {1,2},{2,3}}', '--json'],
+        0,
+        (
+            '{"command": "simplicial:binoid", '
+            '"input": "complex{1,2,3; {1,2},{2,3}}", '
+            '"result": {"presentation": "free(v1,v2,v3)/(v1+v3=inf)"}}\n'
+        ),
+    ),
+    (
+        ['simplicial:cup', 'complex{1,2,3; {1,2},{2,3}}', '--json'],
+        0,
+        (
+            '{"command": "simplicial:cup", "input": "complex{1,2,3; {1,2},{2,3}}", '
+            '"result": {"presentation": "free(v1,v2,v3)/(v1+v3=inf, 2v1=v1, 2v2=v2, '
+            '2v3=v3)"}}\n'
+        ),
+    ),
+    (
+        ['simplicial:cap', 'complex{1,2,3,4; {1,2},{3,4}}', '--json'],
+        0,
+        (
+            '{"command": "simplicial:cap", "input": "complex{1,2,3,4; {1,2},{3,4}}", '
+            '"result": {"components": ["Other", "Other"], "isomorphic": false}}\n'
+        ),
+    ),
+    (
+        ['simplicial:sr', 'complex{1,2,3; {1,2},{2,3}}', '--format', 'singular'],
+        0,
+        (
+            'ring R = 0,(X1,X2,X3),dp;\n'
+            'ideal I = X1*X3;\n'
+        ),
+    ),
+    (
+        ['simplicial:recognize', 'free(x,y)/(x+y=inf)', '--json'],
+        0,
+        (
+            '{"command": "simplicial:recognize", "input": "free(x,y)/(x+y=inf)", '
+            '"result": {"complex": "complex{x,y; {x},{y}}", "failed_axiom": null}}\n'
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout",
+    GOLDEN,
+    ids=[argv[0] + ("-dot" if "--dot" in argv else "") for argv, _, _ in GOLDEN],
+)
+def test_verb_golden(argv, code, stdout):
+    assert run(*argv)[:2] == (code, stdout)

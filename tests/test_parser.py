@@ -95,6 +95,18 @@ def test_complex_bad_json_rejected():
         parse_complex('{"vertices": ["1"]}')
     with pytest.raises(ParseError):
         parse_complex('{"vertices": ')
+    for vertices, facets in [
+        ("null", "null"),
+        ("1", "[]"),
+        ("true", "[]"),
+        ('["1"]', "null"),
+        ('["1"]', "2"),
+        ('["1"]', "true"),
+        ('["1"]', "[1]"),
+        ('["1"]', "[null]"),
+    ]:
+        with pytest.raises(ParseError):
+            parse_complex(f'{{"vertices": {vertices}, "facets": {facets}}}')
 
 
 def test_complex_pretty_roundtrips():
