@@ -242,7 +242,7 @@ def count_points(p: Presentation, q: int) -> PointCount:
     """
     if not _is_prime_power(q):
         raise ValueError(f"{q} is not a prime power")
-    s = spectrum.compute_spectrum(p)
+    s = spectrum.spectrum_of(p)
     per = []
     total = 0
     for prime in s.primes:
@@ -325,7 +325,7 @@ def hypersurface_connectedness(p: Presentation) -> ConnectednessVerdict:
     k = max(-(-g[i] // ftop[i]) for i in supp_f if g[i])
     k = max(k, 1)
     witness = Word.from_dense(tuple(k * e for e in ftop))
-    rs = rewrite.complete(p)
+    rs = rewrite.completion(p)
     nf = rs.normal_form(witness)
     if not rs.equal(witness + witness, witness) or nf.is_inf or nf == Word.zero():
         raise RuntimeError("internal error: idempotent witness failed verification")
@@ -350,8 +350,7 @@ def classify_one_generated(p: Presentation) -> OneGeneratedClass:
     """Sort a one-generated presentation into the four isomorphism types."""
     if p.rank != 1:
         raise PresentationError("expected exactly one generator")
-    rs = rewrite.complete(p)
-    rules = rs.rules
+    rules = rewrite.completion(p).rules
     if not rules:
         return OneGeneratedClass(N_INFINITY)
     # a reduced system on one generator is a single rule
@@ -379,10 +378,8 @@ class TorsionReport:
 
 def torsion_free_cancellative_quotient(p: Presentation) -> TorsionReport:
     """Difference group over the minimal prime of an integral presentation."""
-    rs = rewrite.complete(p)
-    preds = spectrum.predicates(p, rs=rs)
-    if not preds.integral:
+    rs = rewrite.completion(p)
+    if not spectrum.predicates(p).integral:
         raise NotIntegral("the presentation is not integral")
-    a0 = [i for i in range(p.rank) if rs.normal_form(Word.generator(i)).is_inf]
-    group = diff_group_at(p, spectrum.PrimeIdeal(a0))
+    group = diff_group_at(p, spectrum.PrimeIdeal(rs.absorbed_generators()))
     return TorsionReport(group=group, torsion_free=group.torsion_free)

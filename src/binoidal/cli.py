@@ -71,6 +71,17 @@ def _budget(args, default: int) -> int:
     return args.budget if args.budget is not None else default
 
 
+def _nonnegative_int(text: str) -> int:
+    """The ``--budget`` type: an int, refused as a usage error below 0."""
+    try:
+        value = int(text)
+    except ValueError:  # argparse's wording for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _braces(sets) -> str:
     return "\n".join("{" + ",".join(names) + "}" for names in sets)
 
@@ -335,7 +346,7 @@ _DOT = (("--dot", {"action": "store_true"}),)
 _FORMAT = (("--format", {"default": "generic", "choices": list(algebra.RING_DIALECTS)}),)
 _COMMON = (
     ("--json", {"action": "store_true"}),
-    ("--budget", {"type": int, "default": None}),
+    ("--budget", {"type": _nonnegative_int, "default": None}),
     ("--force", {"action": "store_true"}),
     ("--threads", {"type": int, "default": None, "help": argparse.SUPPRESS}),
 )

@@ -131,9 +131,7 @@ def _simplex_max(
     return x
 
 
-def find_positive_grading(
-    p: Presentation, rs: rewrite.RewriteSystem | None = None
-) -> Optional[GradingVector]:
+def find_positive_grading(p: Presentation) -> Optional[GradingVector]:
     """Coprime integer weights >= 1 respecting all live binomial relations.
 
     Relations whose sides are congruent to the absorbing element impose no
@@ -143,12 +141,8 @@ def find_positive_grading(
     r = p.rank
     if r == 0:
         return GradingVector(())
-    if rs is None:
-        rs = rewrite.complete(p)
     rows = []
-    for rel in p.binomial_relations():
-        if rs.normal_form(rel.lhs).is_inf:
-            continue
+    for rel in rewrite.completion(p).live_binomials():
         row = [Fraction(0)] * r
         for i, e in rel.lhs.exps:
             row[i] += e
@@ -192,20 +186,21 @@ def find_positive_grading(
 
 
 def _witness_scan(
-    p: Presentation,
-    rs: rewrite.RewriteSystem,
-    unit_gens: frozenset[int],
-    degree_budget: int,
-    first_only: bool,
-) -> list[tuple[rewrite.Vec, rewrite.Vec]]:
+    p: Presentation, degree_budget: int, first_only: bool
+) -> Optional[list[tuple[rewrite.Vec, rewrite.Vec]]]:
     """Pairs (f, g) with f = f + g, f a finite normal form, g a nonunit.
 
     f runs over the normal forms of degree <= budget in term order, and g
-    over the nonunit words of degree 1..budget, lexicographically within
-    each degree; each f contributes its first g.  With first_only the scan
-    stops at the first pair.
+    over the words of degree 1..budget that involve a generator of the
+    maximal ideal, lexicographically within each degree; each f contributes
+    its first g.  With first_only the scan stops at the first pair.  None
+    for the zero binoid, which has no maximal ideal.
     """
-    nonunit = [i for i in range(p.rank) if i not in unit_gens]
+    rs = rewrite.completion(p)
+    s = spectrum.spectrum_of(p)
+    if s.is_empty:
+        return None
+    nonunit = s.max_ideal.gens
     gs = [
         v
         for d in range(1, degree_budget + 1)
@@ -223,22 +218,14 @@ def _witness_scan(
 
 
 def find_unseparated(
-    p: Presentation,
-    degree_budget: int = DEFAULT_WITNESS_BUDGET,
-    rs: rewrite.RewriteSystem | None = None,
+    p: Presentation, degree_budget: int = DEFAULT_WITNESS_BUDGET
 ) -> Optional[tuple[Word, Word]]:
     """First pair (f, g) with f = f + g, f not absorbing, g a nonunit.
 
     Search order is lexicographic on (deg f, deg g, term order), so the
     returned witness is reproducible.
     """
-    if rs is None:
-        rs = rewrite.complete(p)
-    s = spectrum.compute_spectrum(p)
-    if s.is_empty:
-        return None
-    unit_gens = frozenset(range(p.rank)) - frozenset(s.max_ideal.gens)
-    pairs = _witness_scan(p, rs, unit_gens, degree_budget, first_only=True)
+    pairs = _witness_scan(p, degree_budget, first_only=True)
     if not pairs:
         return None
     f, g = pairs[0]
@@ -246,28 +233,25 @@ def find_unseparated(
 
 
 def is_separated(
-    p: Presentation,
-    degree_budget: int = DEFAULT_WITNESS_BUDGET,
-    rs: rewrite.RewriteSystem | None = None,
+    p: Presentation, degree_budget: int = DEFAULT_WITNESS_BUDGET
 ) -> SeparationReport:
-    if rs is None:
-        rs = rewrite.complete(p)
-    preds = spectrum.predicates(p, rs=rs)
+    rewrite.completion(p)  # before the spectrum, so its errors come first
+    preds = spectrum.predicates(p)
     applicable = preds.positive and preds.integral
-    grading = find_positive_grading(p, rs=rs)
+    grading = find_positive_grading(p)
     if grading is not None:
         return SeparationReport(SEPARATED, None, grading, applicable)
     if applicable:
         budget = max(degree_budget, 1)
         while budget <= 4096:  # the witness exists; widen until it appears
-            witness = find_unseparated(p, budget, rs=rs)
+            witness = find_unseparated(p, budget)
             if witness is not None:
                 return SeparationReport(NOT_SEPARATED, witness, None, applicable)
             budget *= 2
         raise RuntimeError(
             "ungradable positive integral binoid without a reachable witness"
         )
-    witness = find_unseparated(p, degree_budget, rs=rs)
+    witness = find_unseparated(p, degree_budget)
     if witness is not None:
         return SeparationReport(NOT_SEPARATED, witness, None, applicable)
     return SeparationReport(UNKNOWN, None, None, applicable)
@@ -282,18 +266,11 @@ def sepdim(
     collected witnesses generate at least the separating ideal); otherwise
     it is an upper bound for the true separated dimension.
     """
-    rs = rewrite.complete(p)
-    s = spectrum.compute_spectrum(p)
-    if s.is_empty:
+    pairs = _witness_scan(p, degree_budget, first_only=False)
+    if pairs is None:
         raise ZeroBinoid("the zero binoid has no separated dimension")
-    unit_gens = frozenset(range(p.rank)) - frozenset(s.max_ideal.gens)
-    witnesses = [
-        Word.from_dense(f)
-        for f, _ in _witness_scan(p, rs, unit_gens, degree_budget, first_only=False)
-    ]
-    over = [
-        q for q in s.primes if all(q.contains_word(w) for w in witnesses)
-    ]
+    witnesses = [Word.from_dense(f) for f, _ in pairs]
+    over = spectrum.v_set(p, witnesses)
     sub = spectrum.Spectrum(p, tuple(over))
     value = max(sub.heights().values()) if over else -1
     quotient = rees_quotient(p, witnesses)

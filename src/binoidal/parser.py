@@ -101,9 +101,13 @@ def _parse_term(tokens: _Tokens, index: dict[str, int]) -> Word:
         tok = tokens.next()
         coefficient = 1
         if _INT.match(tok):
-            if int(tok) < 1:
+            try:
+                coefficient = int(tok)
+            except ValueError:  # past the interpreter's int-string limit
+                message = f"coefficient of {len(tok)} digits is too long"
+                raise ParseError(message, line, col) from None
+            if coefficient < 1:
                 raise ParseError("coefficients must be >= 1", line, col)
-            coefficient = int(tok)
             line, col = tokens.where()
             tok = tokens.next()
         if not _IDENT.match(tok) or tok == "inf":

@@ -13,7 +13,7 @@ counting identities exercised in the test suite.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import NotPositive, PresentationError
@@ -73,6 +73,8 @@ def classify_relation(rel: Relation) -> RelationClass:
 class Presentation:
     generators: tuple[str, ...]
     relations: tuple[Relation, ...]
+    # per-object results of ``rewrite.completion`` and ``spectrum.spectrum_of``
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def rank(self) -> int:

@@ -27,7 +27,7 @@ from .errors import (
     NoPositiveGrading,
     NotPositive,
 )
-from .presentation import Presentation
+from .presentation import Presentation, Relation
 from .words import Word
 
 INF = None  # internal marker for an absorbing right-hand side
@@ -138,6 +138,20 @@ class RewriteSystem:
     def equal(self, u: Word, v: Word) -> bool:
         return self.normal_form(u) == self.normal_form(v)
 
+    def absorbed_generators(self) -> tuple[int, ...]:
+        """Indices of the generators whose normal form is the absorbing word."""
+        return tuple(
+            i for i in range(self.rank) if self.normal_form(Word.generator(i)).is_inf
+        )
+
+    def live_binomials(self) -> list[Relation]:
+        """Binomial relations of the source whose sides are not absorbing."""
+        return [
+            rel
+            for rel in self.source.binomial_relations()
+            if not self.normal_form(rel.lhs).is_inf
+        ]
+
     def is_monomial_only(self) -> bool:
         """No rule has a finite right-hand side.
 
@@ -209,6 +223,16 @@ def complete(p: Presentation, budget: int = DEFAULT_BUDGET) -> RewriteSystem:
     return RewriteSystem(source=p, _rules=tuple(rules))
 
 
+def completion(p: Presentation) -> RewriteSystem:
+    """``complete(p)`` at the default budget, computed once per presentation."""
+    # the memo keeps the rules, not the system: a system refers back to p,
+    # and that cycle would leave p to the cyclic collector instead of
+    # freeing it when the caller drops it
+    if "completion" not in p._memo:
+        p._memo["completion"] = complete(p)._rules
+    return RewriteSystem(source=p, _rules=p._memo["completion"])
+
+
 def _words_of_degree(r: int, d: int) -> Iterator[Vec]:
     """All exponent vectors of length r with total degree exactly d."""
     if r == 0:
@@ -242,12 +266,10 @@ def enumerate_elements(rs: RewriteSystem, degree_bound: int) -> list[Word]:
     return [Word.from_dense(v) for v in _normal_forms(rs, degree_bound)]
 
 
-def _validate_grading(p: Presentation, rs: RewriteSystem, weights) -> None:
+def _validate_grading(p: Presentation, weights) -> None:
     if len(weights) != p.rank or any(w < 1 for w in weights):
         raise InvalidGrading("need one weight >= 1 per generator")
-    for rel in p.binomial_relations():
-        if rs.normal_form(rel.lhs).is_inf:
-            continue  # both sides are absorbing; no degree constraint
+    for rel in completion(p).live_binomials():
         lu = sum(weights[i] * e for i, e in rel.lhs.exps)
         lv = sum(weights[i] * e for i, e in rel.rhs.exps)
         if lu != lv:
@@ -256,12 +278,7 @@ def _validate_grading(p: Presentation, rs: RewriteSystem, weights) -> None:
             )
 
 
-def order_delta(
-    p: Presentation,
-    grading,
-    w: Word,
-    rs: RewriteSystem | None = None,
-) -> int:
+def order_delta(p: Presentation, grading, w: Word) -> int:
     """Order of [w]: the maximal degree among all words congruent to w.
 
     Requires a positive presentation and a valid positive grading; then each
@@ -271,11 +288,10 @@ def order_delta(
     from .spectrum import predicates
 
     weights = tuple(grading.weights) if hasattr(grading, "weights") else tuple(grading)
-    if rs is None:
-        rs = complete(p)
-    if predicates(p, rs=rs).units:
+    rs = completion(p)
+    if predicates(p).units:
         raise NotPositive("order function requires a positive binoid")
-    _validate_grading(p, rs, weights)
+    _validate_grading(p, weights)
     if rs.normal_form(w).is_inf:
         raise IsInfinity("the absorbing class has no order")
     v = w.dense(rs.rank)
@@ -315,7 +331,7 @@ def _weighted_level(weights: tuple[int, ...], grade: int) -> Iterator[Vec]:
     return rec(0, grade)
 
 
-def hilbert_samuel(p: Presentation, n: int, rs: RewriteSystem | None = None) -> int:
+def hilbert_samuel(p: Presentation, n: int) -> int:
     """Number of classes of order < n, i.e. the size of M/nM+ minus one.
 
     Defined here only for positive presentations carrying a positive
@@ -327,16 +343,15 @@ def hilbert_samuel(p: Presentation, n: int, rs: RewriteSystem | None = None) -> 
 
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if rs is None:
-        rs = complete(p)
-    if predicates(p, rs=rs).units:
+    rs = completion(p)
+    if predicates(p).units:
         raise NotPositive("Hilbert-Samuel values require a positive binoid")
-    grading = find_positive_grading(p, rs=rs)
+    grading = find_positive_grading(p)
     if grading is None:
         raise NoPositiveGrading(
             "no positive grading; the order function may be infinite"
         )
-    _validate_grading(p, rs, grading.weights)
+    _validate_grading(p, grading.weights)
     levels: dict[int, list[Vec]] = {}
     for v in _normal_forms(rs, n - 1):
         levels.setdefault(_weight(grading.weights, v), []).append(v)

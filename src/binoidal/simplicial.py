@@ -197,16 +197,14 @@ NOT_SEMIFREE = "not semifree"
 NOT_REDUCED = "not reduced"
 
 
-def recognize_simplicial(
-    p: Presentation, rs: rewrite.RewriteSystem | None = None
-) -> Optional[SimplicialComplex]:
+def recognize_simplicial(p: Presentation) -> Optional[SimplicialComplex]:
     """Underlying complex of a semifree reduced presentation, else None."""
-    delta, _ = recognize_simplicial_report(p, rs)
+    delta, _ = recognize_simplicial_report(p)
     return delta
 
 
 def recognize_simplicial_report(
-    p: Presentation, rs: rewrite.RewriteSystem | None = None
+    p: Presentation,
 ) -> tuple[Optional[SimplicialComplex], Optional[str]]:
     """Recognition with the failed axiom named on rejection.
 
@@ -214,17 +212,16 @@ def recognize_simplicial_report(
     monomial-only; reducedness is the spectrum predicate.  Generators that
     collapse to the absorbing element are dropped from the vertex set.
     """
-    if rs is None:
-        rs = rewrite.complete(p)
+    rs = rewrite.completion(p)
     if not rs.is_monomial_only():
         return None, NOT_SEMIFREE
-    if not spectrum.predicates(p, rs=rs).reduced:
+    if not spectrum.predicates(p).reduced:
         return None, NOT_REDUCED
     if p.rank > VERTEX_CAP:
         raise TooManyGenerators(
             f"face reconstruction beyond {VERTEX_CAP} generators refused"
         )
-    live = [i for i in range(p.rank) if not rs.normal_form(Word.generator(i)).is_inf]
+    live = indices(((1 << p.rank) - 1) ^ mask_of(rs.absorbed_generators()))
     names = [p.generators[i] for i in live]
     # every rule is lhs -> inf and no element is nilpotent, so a word is
     # absorbing exactly when its support is, and a squarefree word is

@@ -102,11 +102,6 @@ def _admits(mask: int, compiled: Compiled) -> bool:
     return True
 
 
-def _admissible(subset: Iterable[int], relations: Sequence[Relation]) -> bool:
-    """Admissibility of a generator index set (the mask test, set-facing)."""
-    return _admits(mask_of(subset), _compile(relations))
-
-
 def _longest_chains(masks: Iterable[int], r: int) -> bytearray:
     """Entry s: the most members of the family in one chain of subsets of s.
 
@@ -217,9 +212,18 @@ def compute_spectrum(p: Presentation, force: bool = False) -> Spectrum:
     return Spectrum(p, tuple(primes))
 
 
+def spectrum_of(p: Presentation) -> Spectrum:
+    """``compute_spectrum(p)``, computed once per presentation."""
+    # the primes only, so that p and its memo form no reference cycle
+    # (see ``rewrite.completion``)
+    if "spectrum" not in p._memo:
+        p._memo["spectrum"] = compute_spectrum(p).primes
+    return Spectrum(p, p._memo["spectrum"])
+
+
 def dim(p: Presentation, force: bool = False) -> int:
     """Length of the longest prime chain; -1 for the zero binoid."""
-    s = compute_spectrum(p, force=force)
+    s = compute_spectrum(p, force=True) if force else spectrum_of(p)
     if s.is_empty:
         return -1
     return max(s.heights().values())
@@ -232,7 +236,7 @@ class FVector:
 
 def f_vector(p: Presentation) -> FVector:
     """Entry i counts the primes of prime-dimension i."""
-    s = compute_spectrum(p)
+    s = spectrum_of(p)
     if s.is_empty:
         raise ZeroBinoid("the zero binoid has no F-vector")
     dims = s.prime_dims()
@@ -244,7 +248,7 @@ def f_vector(p: Presentation) -> FVector:
 
 
 def minimal_primes(p: Presentation) -> list[PrimeIdeal]:
-    s = compute_spectrum(p)
+    s = spectrum_of(p)
     if s.is_empty:
         raise ZeroBinoid("the zero binoid has no minimal primes")
     return _minimal(s.primes)
@@ -253,34 +257,31 @@ def minimal_primes(p: Presentation) -> list[PrimeIdeal]:
 def v_set(p: Presentation, words: Iterable[Word]) -> list[PrimeIdeal]:
     """Primes containing every given word."""
     ws = list(words)
-    s = compute_spectrum(p)
+    s = spectrum_of(p)
     return [q for q in s.primes if all(q.contains_word(w) for w in ws)]
 
 
 def d_set(p: Presentation, w: Word) -> list[PrimeIdeal]:
-    s = compute_spectrum(p)
+    s = spectrum_of(p)
     return [q for q in s.primes if not q.contains_word(w)]
 
 
 def closure(p: Presentation, primes: Iterable[PrimeIdeal]) -> list[PrimeIdeal]:
     """Topological closure of a set of points: all admissible supersets."""
     base = list(primes)
-    s = compute_spectrum(p)
+    s = spectrum_of(p)
     return [q for q in s.primes if any(e <= q for e in base)]
 
 
 def minimal_primes_over(p: Presentation, words: Iterable[Word]) -> list[PrimeIdeal]:
-    ws = list(words)
-    s = compute_spectrum(p)
-    if s.is_empty:
+    if spectrum_of(p).is_empty:
         raise ZeroBinoid("the zero binoid has no primes")
-    over = [q for q in s.primes if all(q.contains_word(w) for w in ws)]
-    return _minimal(over)
+    return _minimal(v_set(p, words))
 
 
 def irreducible_components(p: Presentation) -> list[list[PrimeIdeal]]:
     """V(P) for each minimal prime P."""
-    s = compute_spectrum(p)
+    s = spectrum_of(p)
     if s.is_empty:
         raise ZeroBinoid("the zero binoid has no components")
     return [[q for q in s.primes if m <= q] for m in _minimal(s.primes)]
@@ -289,24 +290,17 @@ def irreducible_components(p: Presentation) -> list[list[PrimeIdeal]]:
 def is_nilpotent(p: Presentation, w: Word) -> bool:
     """True when some multiple of w is absorbing.
 
-    Nilpotence is a support condition: the support must meet every minimal
-    prime.
+    Nilpotence is membership in the radical of the ideal {inf}: the support
+    must meet every minimal prime.
     """
-    if w.is_inf:
-        return True
-    s = compute_spectrum(p)
-    return all(m.contains_word(w) for m in _minimal(s.primes))
+    return radical_membership(p, w, ())
 
 
 def radical_membership(p: Presentation, w: Word, ideal_gens: Iterable[Word]) -> bool:
+    """The support of w meets every minimal prime over the ideal."""
     if w.is_inf:
         return True
-    ideal_gens = list(ideal_gens)  # read once per prime below
-    s = compute_spectrum(p)
-    if s.is_empty:
-        return True
-    over = [q for q in s.primes if all(q.contains_word(g) for g in ideal_gens)]
-    return all(m.contains_word(w) for m in _minimal(over))
+    return all(m.contains_word(w) for m in _minimal(v_set(p, ideal_gens)))
 
 
 def minimal_transversals(sets: Sequence[frozenset[int]]) -> list[frozenset[int]]:
@@ -347,7 +341,7 @@ class Predicates:
     boolean: bool
 
 
-def predicates(p: Presentation, rs: rewrite.RewriteSystem | None = None) -> Predicates:
+def predicates(p: Presentation) -> Predicates:
     """Structural predicates of the presented binoid.
 
     Units are the generators outside the maximal ideal; integrality asks
@@ -355,19 +349,15 @@ def predicates(p: Presentation, rs: rewrite.RewriteSystem | None = None) -> Pred
     admissible subset; reducedness checks that every minimal transversal of
     the minimal-prime generator sets is absorbing.
     """
-    s = compute_spectrum(p)
+    s = spectrum_of(p)
     if s.is_empty:
         return Predicates(False, False, (), False, False, False)
-    if rs is None:
-        rs = rewrite.complete(p)
+    rs = rewrite.completion(p)
     max_mask = s.max_ideal.mask
     units = tuple(
         name for i, name in enumerate(p.generators) if not max_mask >> i & 1
     )
-    a0 = mask_of(
-        i for i in range(p.rank) if rs.normal_form(Word.generator(i)).is_inf
-    )
-    integral = _admits(a0, _compile(p.relations))
+    integral = _admits(mask_of(rs.absorbed_generators()), _compile(p.relations))
     minimal = _minimal(s.primes)
     reduced = True
     for t in minimal_transversals([frozenset(m.gens) for m in minimal]):
@@ -459,7 +449,7 @@ def booleanize(p: Presentation) -> FiniteBooleanBinoid:
     come out in spectrum order.  Elements are ordered by size, then by
     their members' positions.
     """
-    s = compute_spectrum(p)
+    s = spectrum_of(p)
     if s.is_empty:
         raise ZeroBinoid("the zero binoid has no booleanization")
     masks = [q.mask for q in s.primes]

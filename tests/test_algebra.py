@@ -186,6 +186,19 @@ def test_brute_force_oracle_agrees():
             assert count_points(p, q).count == brute_force_count(p, q), (text, q)
 
 
+def test_brute_force_oracle_agrees_on_random_presentations():
+    import random
+
+    from tests_support import random_presentation
+
+    rng = random.Random(8885)
+    for _ in range(400):
+        p = random_presentation(rng, max_rank=5, max_rels=3, max_degree=4)
+        for q in (2, 3, 5, 7):
+            if q**p.rank <= 5000:
+                assert count_points(p, q).count == brute_force_count(p, q), (p.pretty(), q)
+
+
 def test_brute_force_guards():
     with pytest.raises(ValueError):
         brute_force_count(free("x"), 4)  # composite

@@ -509,3 +509,157 @@ GOLDEN = [
 )
 def test_verb_golden(argv, code, stdout):
     assert run(*argv)[:2] == (code, stdout)
+
+
+# Precondition and undecided exits, pinned with their exact stderr.
+GOLDEN_EXITS = {
+    "hilbert-not-positive": (
+        ["hilbert", "2", "free(x,y)/(x+y=0)"],
+        3,
+        "",
+        "NotPositive: Hilbert-Samuel values require a positive binoid\n",
+    ),
+    "hilbert-no-grading": (
+        ["hilbert", "2", "free(x)/(3x=x)"],
+        3,
+        "",
+        "NoPositiveGrading: no positive grading; the order function may be infinite\n",
+    ),
+    "sepdim-zero-binoid": (
+        ["sepdim", "free(x)/(0=inf)"],
+        3,
+        "",
+        "ZeroBinoid: the zero binoid has no separated dimension\n",
+    ),
+    "separated-unknown": (
+        ["separated", "free(x,y)/(x+y=0, 2x=3x)", "--json"],
+        2,
+        (
+            '{"command": "separated", "input": "free(x,y)/(x+y=0, 2x=3x)", '
+            '"result": {"certified": false, "grading": null, "verdict": "Unknown", '
+            '"witness": null}}\n'
+        ),
+        "",
+    ),
+    "recognize-not-semifree": (
+        ["simplicial:recognize", "free(x,y)/(x=y)"],
+        2,
+        "not a simplicial binoid (not semifree)\n",
+        "",
+    ),
+    "recognize-not-reduced": (
+        ["simplicial:recognize", "free(x)/(2x=inf)"],
+        2,
+        "not a simplicial binoid (not reduced)\n",
+        "",
+    ),
+    "predicates-zero-binoid": (
+        ["predicates", "free(x)/(0=inf)", "--json"],
+        0,
+        (
+            '{"command": "predicates", "input": "free(x)/(0=inf)", '
+            '"result": {"binoid_group": false, "boolean": false, "integral": false, '
+            '"positive": false, "reduced": false, "units": []}}\n'
+        ),
+        "",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, code, stdout, stderr", GOLDEN_EXITS.values(), ids=GOLDEN_EXITS)
+def test_verb_golden_exit(argv, code, stdout, stderr):
+    assert run(*argv) == (code, stdout, stderr)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gb", "free(x)"],
+        ["nf", "free(x)/(2x=x)", "x"],
+        ["eq", "free(x)/(2x=x)", "x", "2x"],
+        ["separated", "free(x)/(2x=3x)"],
+        ["sepdim", "free(x)"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_budget_is_a_usage_error(argv):
+    expected = "usage error: argument --budget: must be nonnegative, got -1\n"
+    assert run(*argv, "--budget", "-1") == (1, "", expected)
+    assert run(*argv, "--budget", "0")[0] != 1
+
+
+def test_overlong_coefficient_is_a_positioned_parse_error():
+    # int() refuses more than 4300 digits by default
+    code, out, err = run("nf", "free(x)", "9" * 5000 + "x")
+    assert (code, out) == (1, "")
+    assert err == "parse error: coefficient of 5000 digits is too long (line 1, column 1)\n"
+
+
+def test_each_presentation_is_completed_and_scanned_at_most_once(monkeypatch):
+    from binoidal import rewrite, spectrum
+
+    seen = {"complete": [], "compute_spectrum": []}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(p, *args, **kwargs):
+            seen[name].append(p)  # holding p keeps its id unique
+            return original(p, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(rewrite, "complete")
+    counted(spectrum, "compute_spectrum")
+    calls = [
+        ["separated", "free(x)/(2x=3x)", "--budget", "0"],
+        ["sepdim", "free(x)/(2x=3x)"],
+        ["sepdim", "free(x,y)/(x+y=2y, 3x=2x)"],
+        ["hilbert", "3", "free(x,y)/(x+y=2y)"],
+        ["simplicial:recognize", "free(x,y,z)/(x+y=inf)"],
+    ]
+    for argv in calls:
+        for found in seen.values():
+            found.clear()
+        assert run(*argv)[0] == 0, argv
+        for name, found in seen.items():
+            assert found, (argv, name)
+            assert len({id(p) for p in found}) == len(found), (argv, name)
+    # an empty spectrum decides every predicate before completion runs
+    seen["complete"].clear()
+    assert run("predicates", "free(x)/(0=inf)")[0] == 0
+    assert not seen["complete"]
+
+
+def test_analysed_presentation_is_freed_without_the_cyclic_collector(monkeypatch):
+    # the memo must not refer back to its presentation: a cycle there turns
+    # every analysed presentation into garbage for the cyclic collector
+    import gc
+    import weakref
+
+    from binoidal import cli
+
+    refs = []
+    parse = cli.parse_presentation
+
+    def tracked(text):
+        p = parse(text)
+        refs.append(weakref.ref(p))
+        return p
+
+    monkeypatch.setattr(cli, "parse_presentation", tracked)
+    gc.disable()
+    try:
+        for argv in (
+            ["separated", "free(x,y)/(x+y=2y, 3x=2x)"],
+            ["sepdim", "free(x,y)/(x+y=2y, 3x=2x)"],
+            ["hilbert", "3", "free(x,y)/(x+y=2y)"],
+            ["simplicial:recognize", "free(x,y,z)/(x+y=inf)"],
+            ["predicates", "free(x,y)/(2x=x)"],
+        ):
+            assert run(*argv)[0] == 0, argv
+        # read before enabling: the first allocation after would collect
+        freed = [ref() is None for ref in refs]
+    finally:
+        gc.enable()
+    assert freed and all(freed)

@@ -1,7 +1,12 @@
+import sys
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from binoidal.errors import ParseError
 from binoidal.parser import parse_complex, parse_presentation, parse_term
+from binoidal.presentation import Presentation
 
 
 def test_basic_presentation():
@@ -127,3 +132,40 @@ def test_fixture_roundtrips():
         "free(a_1,b2)/(2a_1+3b2=0)",
     ]:
         assert parse_presentation(text).pretty() == text
+
+
+_LONG = "9" * 5000  # past CPython's default int-string limit of 4300 digits
+_PIECES = (
+    "free", "inf", "x", "y", "x_1", "0", "1", "12", _LONG,
+    "(", ")", ",", "+", "=", "/", "{", "}", ";", "-", " ", "\n", "é",
+)
+
+
+@st.composite
+def dsl_texts(draw):
+    """Token soup over the DSL alphabet, bare or inside a relation list."""
+    soup = "".join(draw(st.lists(st.sampled_from(_PIECES), max_size=24)))
+    return draw(st.sampled_from([soup, f"free(x,y)/({soup})", f"free({soup})"]))
+
+
+@pytest.mark.parametrize("digit_limit", [4300, 0], ids=["int-limit", "no-limit"])
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(text=dsl_texts())
+@example(text=f"free(x)/({_LONG}x=x)")
+@example(text=f"free(x)/({_LONG}x=x")
+def test_dsl_text_parses_or_raises_parse_error(digit_limit, text):
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digit_limit)
+    try:
+        assert isinstance(parse_presentation(text), Presentation)
+    except ParseError:
+        pass
+    finally:
+        sys.set_int_max_str_digits(default)
+
+
+def test_overlong_coefficient_has_a_position():
+    p = parse_presentation("free(x,y)")
+    with pytest.raises(ParseError) as err:
+        parse_term("y + " + _LONG + "x", p)
+    assert (err.value.line, err.value.column) == (1, 5)

@@ -147,8 +147,8 @@ def graded_presentations(draw):
 def test_hilbert_samuel_matches_the_per_element_loop(p, n):
     assert rewrite.hilbert_samuel(p, n) == oracle_hilbert_samuel(p, n)
     rs = rewrite.complete(p)
-    weights = grading.find_positive_grading(p, rs=rs).weights
+    weights = grading.find_positive_grading(p).weights
     for w in rewrite.enumerate_elements(rs, n - 1)[:4]:
-        assert rewrite.order_delta(p, weights, w, rs=rs) == oracle_order_delta(
+        assert rewrite.order_delta(p, weights, w) == oracle_order_delta(
             p, weights, w, rs
         )

@@ -278,9 +278,9 @@ def oracle_sepdim(p, degree_budget):
 
 def oracle_order_delta(p, weights, w, rs):
     """Largest degree of a word in the weight level of w that equals w."""
-    if spectrum.predicates(p, rs=rs).units:
+    if spectrum.predicates(p).units:
         raise NotPositive("order function requires a positive binoid")
-    rewrite._validate_grading(p, rs, weights)
+    rewrite._validate_grading(p, weights)
     if rs.normal_form(w).is_inf:
         raise IsInfinity("the absorbing class has no order")
     grade = sum(weights[i] * e for i, e in w.exps)
@@ -294,9 +294,9 @@ def oracle_order_delta(p, weights, w, rs):
 def oracle_hilbert_samuel(p, n):
     """Count the elements of degree < n whose order is < n, one order each."""
     rs = rewrite.complete(p)
-    if spectrum.predicates(p, rs=rs).units:
+    if spectrum.predicates(p).units:
         raise NotPositive("Hilbert-Samuel values require a positive binoid")
-    found = grading.find_positive_grading(p, rs=rs)
+    found = grading.find_positive_grading(p)
     if found is None:
         raise NoPositiveGrading("no positive grading")
     return sum(
