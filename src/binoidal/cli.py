@@ -67,10 +67,6 @@ def _read_arg(text: str) -> str:
     return text
 
 
-def _budget(args, default: int) -> int:
-    return args.budget if args.budget is not None else default
-
-
 def _nonnegative_int(text: str) -> int:
     """The ``--budget`` type: an int, refused as a usage error below 0."""
     try:
@@ -154,7 +150,7 @@ def _bool(args):
 
 def _gb(args):
     p = _pres(args)
-    rules = rewrite.complete(p, budget=_budget(args, rewrite.DEFAULT_BUDGET)).rules
+    rules = rewrite.complete(p, budget=args.budget).rules
     g = p.generators
     result = {"rules": [{"lhs": r.lhs.pretty(g), "rhs": r.rhs.pretty(g)} for r in rules]}
     return p.pretty(), result, "\n".join(r.pretty(g) for r in rules)
@@ -162,14 +158,14 @@ def _gb(args):
 
 def _nf(args):
     p = _pres(args)
-    rs = rewrite.complete(p, budget=_budget(args, rewrite.DEFAULT_BUDGET))
+    rs = rewrite.complete(p, budget=args.budget)
     nf = rs.normal_form(parse_term(args.word, p)).pretty(p.generators)
     return [p.pretty(), args.word], {"nf": nf}, nf
 
 
 def _eq(args):
     p = _pres(args)
-    rs = rewrite.complete(p, budget=_budget(args, rewrite.DEFAULT_BUDGET))
+    rs = rewrite.complete(p, budget=args.budget)
     value = rs.equal(parse_term(args.word1, p), parse_term(args.word2, p))
     return [p.pretty(), args.word1, args.word2], {"equal": value}, str(value).lower()
 
@@ -189,9 +185,7 @@ def _grading(args):
 
 def _separated(args):
     p = _pres(args)
-    report = grading.is_separated(
-        p, degree_budget=_budget(args, grading.DEFAULT_WITNESS_BUDGET)
-    )
+    report = grading.is_separated(p, degree_budget=args.budget)
     witness = None
     if report.witness:
         f, g = (w.pretty(p.generators) for w in report.witness)
@@ -208,9 +202,7 @@ def _separated(args):
 
 def _sepdim(args):
     p = _pres(args)
-    value, certified = grading.sepdim(
-        p, degree_budget=_budget(args, grading.DEFAULT_WITNESS_BUDGET)
-    )
+    value, certified = grading.sepdim(p, degree_budget=args.budget)
     human = f"{value} ({'certified' if certified else 'upper bound'})"
     return p.pretty(), {"value": value, "certified": certified}, human
 
@@ -336,71 +328,78 @@ def _simplicial_recognize(args):
     return p.pretty(), {"complex": delta.pretty(), "failed_axiom": None}, delta.pretty()
 
 
-# One row per verb: positionals as (name, add_argument kwargs), extra
-# options, handler.  Every verb also takes the four flags of ``_COMMON``,
-# added after its positionals and before its extras.
+# One row per verb: its arguments as (name, add_argument kwargs) pairs, in
+# the order ``build_parser`` adds them, and its handler.  The row names every
+# option the handler reads; the parser refuses any other, except the inert
+# ``--threads`` that every verb accepts.
 _PRES = (("presentation", {}),)
 _PAIR = (("presentation1", {}), ("presentation2", {}))
 _COMPLEX = (("complex", {}),)
+_JSON = (("--json", {"action": "store_true"}),)
+_FORCE = (("--force", {"action": "store_true"}),)
 _DOT = (("--dot", {"action": "store_true"}),)
 _FORMAT = (("--format", {"default": "generic", "choices": list(algebra.RING_DIALECTS)}),)
-_COMMON = (
-    ("--json", {"action": "store_true"}),
-    ("--budget", {"type": _nonnegative_int, "default": None}),
-    ("--force", {"action": "store_true"}),
-    ("--threads", {"type": int, "default": None, "help": argparse.SUPPRESS}),
+_COMPLETION_BUDGET = (
+    ("--budget", {"type": _nonnegative_int, "default": rewrite.DEFAULT_BUDGET}),
+)
+_WITNESS_BUDGET = (
+    ("--budget", {"type": _nonnegative_int, "default": grading.DEFAULT_WITNESS_BUDGET}),
 )
 
 _VERBS = {
-    "spec": (_PRES, _DOT, _spec),
-    "dim": (_PRES, (), _dim),
-    "fvector": (_PRES, (), _fvector),
-    "minimal-primes": (_PRES, (("--over", {"default": None}),), _minimal_primes),
-    "predicates": (_PRES, (), _predicates),
-    "bool": (_PRES, _DOT, _bool),
-    "gb": (_PRES, (), _gb),
-    "nf": (_PRES + (("word", {}),), (), _nf),
-    "eq": (_PRES + (("word1", {}), ("word2", {})), (), _eq),
-    "hilbert": ((("n", {"type": int}),) + _PRES, (), _hilbert),
-    "grading": (_PRES, (), _grading),
-    "separated": (_PRES, (), _separated),
-    "sepdim": (_PRES, (), _sepdim),
+    "spec": (_PRES + _JSON + _FORCE + _DOT, _spec),
+    "dim": (_PRES + _JSON + _FORCE, _dim),
+    "fvector": (_PRES + _JSON, _fvector),
+    "minimal-primes": (_PRES + _JSON + (("--over", {"default": None}),), _minimal_primes),
+    "predicates": (_PRES + _JSON, _predicates),
+    "bool": (_PRES + _JSON + _DOT, _bool),
+    "gb": (_PRES + _JSON + _COMPLETION_BUDGET, _gb),
+    "nf": (_PRES + (("word", {}),) + _JSON + _COMPLETION_BUDGET, _nf),
+    "eq": (_PRES + (("word1", {}), ("word2", {})) + _JSON + _COMPLETION_BUDGET, _eq),
+    "hilbert": ((("n", {"type": int}),) + _PRES + _JSON, _hilbert),
+    "grading": (_PRES + _JSON, _grading),
+    "separated": (_PRES + _JSON + _WITNESS_BUDGET, _separated),
+    "sepdim": (_PRES + _JSON + _WITNESS_BUDGET, _sepdim),
     "count-points": (
-        _PRES,
-        (("--q", {"type": int, "required": True}), ("--oracle", {"action": "store_true"})),
+        _PRES
+        + _JSON
+        + (("--q", {"type": int, "required": True}), ("--oracle", {"action": "store_true"})),
         _count_points,
     ),
-    "export-algebra": (_PRES, _FORMAT, _export_algebra),
-    "hypersurface-connected": (_PRES, (), _hypersurface_connected),
-    "classify-one-gen": (_PRES, (), _classify_one_gen),
-    "smash": (_PAIR, (), _construction(smash)),
-    "product": (_PAIR, (), _construction(lambda p1, p2: product([p1, p2]))),
-    "biunion": (_PAIR, (), _construction(bipointed_union)),
-    "quotient": (_PRES + (("ideal_words", {"nargs": "*"}),), (), _quotient),
-    "simplicial:fvector": (_COMPLEX, (), _simplicial_fvector),
-    "simplicial:nonfaces": (_COMPLEX, (), _simplicial_nonfaces),
-    "simplicial:components": (_COMPLEX, (), _simplicial_components),
-    "simplicial:binoid": (_COMPLEX, (), _complex_to_presentation(simplicial.simplicial_binoid)),
-    "simplicial:cup": (_COMPLEX, (), _complex_to_presentation(simplicial.delta_cup_binoid)),
-    "simplicial:cap": (_COMPLEX, (), _simplicial_cap),
-    "simplicial:sr": (_COMPLEX, _FORMAT, _simplicial_sr),
-    "simplicial:recognize": (_PRES, (), _simplicial_recognize),
+    "export-algebra": (_PRES + _FORMAT, _export_algebra),
+    "hypersurface-connected": (_PRES + _JSON, _hypersurface_connected),
+    "classify-one-gen": (_PRES + _JSON, _classify_one_gen),
+    "smash": (_PAIR + _JSON, _construction(smash)),
+    "product": (_PAIR + _JSON, _construction(lambda p1, p2: product([p1, p2]))),
+    "biunion": (_PAIR + _JSON, _construction(bipointed_union)),
+    "quotient": (_PRES + (("ideal_words", {"nargs": "*"}),) + _JSON, _quotient),
+    "simplicial:fvector": (_COMPLEX + _JSON, _simplicial_fvector),
+    "simplicial:nonfaces": (_COMPLEX + _JSON, _simplicial_nonfaces),
+    "simplicial:components": (_COMPLEX + _JSON, _simplicial_components),
+    "simplicial:binoid": (
+        _COMPLEX + _JSON,
+        _complex_to_presentation(simplicial.simplicial_binoid),
+    ),
+    "simplicial:cup": (_COMPLEX + _JSON, _complex_to_presentation(simplicial.delta_cup_binoid)),
+    "simplicial:cap": (_COMPLEX + _JSON, _simplicial_cap),
+    "simplicial:sr": (_COMPLEX + _FORMAT, _simplicial_sr),
+    "simplicial:recognize": (_PRES + _JSON, _simplicial_recognize),
 }
 
 
 def build_parser() -> _Parser:
     top = _Parser(prog="binoidal", description=__doc__)
-    top.add_argument("--threads", type=int, default=None, help=argparse.SUPPRESS)
     sub = top.add_subparsers(dest="verb", required=True)
-    for verb, (positionals, extras, _) in _VERBS.items():
+    for verb, (arguments, _) in _VERBS.items():
         sp = sub.add_parser(verb)
-        for name, kwargs in positionals + _COMMON + extras:
+        for name, kwargs in arguments:
             sp.add_argument(name, **kwargs)
+        sp.add_argument("--threads", type=int, default=None, help=argparse.SUPPRESS)
     return top
 
 
 def _run(args) -> int:
-    out = _VERBS[args.verb][2](args)
+    out = _VERBS[args.verb][1](args)
     if isinstance(out, str):
         print(out, end="")
         return EXIT_OK

@@ -70,7 +70,21 @@ def _simplex_max(
         cost[j] = sum(tab[i][j] for i in range(m))
     cost[-1] = sum(b)
 
+    def cleared(row: list, i: int) -> list:
+        """``row`` minus the multiple of ``tab[i]`` that zeroes its column ``basis[i]``."""
+        f = row[basis[i]]
+        return [x - f * y for x, y in zip(row, tab[i])] if f else row
+
+    def pivot_on(row: int, enter: int) -> None:
+        piv = tab[row][enter]
+        tab[row] = [x / piv for x in tab[row]]
+        basis[row] = enter
+        for i in range(m):
+            if i != row:
+                tab[i] = cleared(tab[i], row)
+
     def pivot(col_limit: int) -> bool:
+        nonlocal cost
         enter = next((j for j in range(col_limit) if cost[j] > 0), None)
         if enter is None:
             return False
@@ -84,18 +98,8 @@ def _simplex_max(
                     best = (ratio, i)
         if best is None:
             raise ArithmeticError("unbounded simplex problem")
-        _, row = best
-        piv = tab[row][enter]
-        tab[row] = [x / piv for x in tab[row]]
-        for i in range(m):
-            if i != row and tab[i][enter]:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[row])]
-        if cost[enter]:
-            f = cost[enter]
-            for j in range(len(cost)):
-                cost[j] -= f * tab[row][j]
-        basis[row] = enter
+        pivot_on(best[1], enter)
+        cost = cleared(cost, best[1])
         return True
 
     while pivot(n + m):
@@ -106,22 +110,12 @@ def _simplex_max(
     for i in range(m):
         if basis[i] >= n:
             enter = next((j for j in range(n) if tab[i][j] != 0), None)
-            if enter is None:
-                continue  # redundant row
-            piv = tab[i][enter]
-            tab[i] = [x / piv for x in tab[i]]
-            for k in range(m):
-                if k != i and tab[k][enter]:
-                    f = tab[k][enter]
-                    tab[k] = [x - f * y for x, y in zip(tab[k], tab[i])]
-            basis[i] = enter
+            if enter is not None:  # else a redundant row
+                pivot_on(i, enter)
     # phase 2
     cost = [Fraction(x) for x in c] + [Fraction(0)] * m + [Fraction(0)]
     for i in range(m):
-        if cost[basis[i]]:
-            f = cost[basis[i]]
-            for j in range(len(cost)):
-                cost[j] -= f * tab[i][j]
+        cost = cleared(cost, i)
     while pivot(n):
         pass
     x = [Fraction(0)] * n

@@ -20,9 +20,9 @@ import re
 from .errors import ParseError, PresentationError
 from .presentation import Presentation, make_presentation
 from .simplicial import SimplicialComplex, from_facets
-from .words import Word
+from .words import IDENT_RE, Word, is_identifier
 
-_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[(),+=/{};]|\S")
+_TOKEN = re.compile(rf"{IDENT_RE}|\d+|[(),+=/{{}};]|\S")
 
 
 class _Tokens:
@@ -83,7 +83,6 @@ class _Tokens:
             raise ParseError(f"trailing input {self.peek()!r}", *self.where())
 
 
-_IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _INT = re.compile(r"^\d+$")
 
 
@@ -110,7 +109,7 @@ def _parse_term(tokens: _Tokens, index: dict[str, int]) -> Word:
                 raise ParseError("coefficients must be >= 1", line, col)
             line, col = tokens.where()
             tok = tokens.next()
-        if not _IDENT.match(tok) or tok == "inf":
+        if not is_identifier(tok):
             raise ParseError(f"expected a generator name, found {tok!r}", line, col)
         if tok not in index:
             raise ParseError(f"undeclared generator {tok!r}", line, col)
@@ -140,7 +139,7 @@ def parse_presentation(text: str) -> Presentation:
         while True:
             line, col = tokens.where()
             tok = tokens.next()
-            if not _IDENT.match(tok) or tok == "inf":
+            if not is_identifier(tok):
                 raise ParseError(f"invalid generator name {tok!r}", line, col)
             names.append(tok)
             if tokens.peek() == ",":

@@ -12,14 +12,11 @@ counting identities exercised in the test suite.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import NotPositive, PresentationError
-from .words import IDENT_RE, Word
-
-_IDENT = re.compile(rf"^{IDENT_RE}$")
+from .words import Word, is_identifier
 
 MONOMIAL = "monomial"
 BINOMIAL = "binomial"
@@ -99,7 +96,7 @@ def _check_names(names: Sequence[str]) -> tuple[str, ...]:
     for name in names:
         if not name:
             raise PresentationError("empty generator identifier")
-        if not _IDENT.match(name) or name == "inf":
+        if not is_identifier(name):
             raise PresentationError(f"invalid generator identifier {name!r}")
         if name in seen:
             raise PresentationError(f"duplicate generator name {name!r}")

@@ -10,7 +10,6 @@ presentations.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -18,12 +17,10 @@ from . import rewrite, spectrum
 from .algebra import ring_text
 from .bitmask import bits, indices, mask_of, submasks, word_mask
 from .errors import PresentationError, TooManyGenerators
-from .presentation import Presentation, make_presentation
-from .words import IDENT_RE, Word
+from .presentation import Presentation, _disjoint_names, _fresh, make_presentation
+from .words import Word, is_identifier
 
 VERTEX_CAP = 24
-
-_IDENT = re.compile(rf"^{IDENT_RE}$")
 
 POINT = "Point"
 SIMPLEX_BOUNDARY = "SimplexBoundary"
@@ -159,14 +156,10 @@ def _safe_generator_names(vertices: Sequence[str]) -> list[str]:
     taken: set[str] = set()
     out = []
     for v in vertices:
-        name = v if (_IDENT.match(v) and v != "inf") else f"v{v}"
-        if not _IDENT.match(name):
+        name = v if is_identifier(v) else f"v{v}"
+        if not is_identifier(name):
             raise PresentationError(f"vertex name {v!r} cannot name a generator")
-        k = 0
-        candidate = name
-        while candidate in taken:
-            k += 1
-            candidate = f"{name}_{k}"
+        candidate = _fresh(name, taken)
         taken.add(candidate)
         out.append(candidate)
     return out
@@ -298,19 +291,10 @@ def cap_classification(delta: SimplicialComplex) -> CapReport:
     return CapReport(tuple(labels), isomorphic=OTHER not in labels)
 
 
-def _merged_names(
-    d1: SimplicialComplex, d2: SimplicialComplex
-) -> tuple[list[str], list[str]]:
-    from .presentation import _disjoint_names
-
-    parts = _disjoint_names([d1.vertices, d2.vertices])
-    return parts[0], parts[1]
-
-
 def disjoint_union(
     d1: SimplicialComplex, d2: SimplicialComplex
 ) -> SimplicialComplex:
-    n1, n2 = _merged_names(d1, d2)
+    n1, n2 = _disjoint_names([d1.vertices, d2.vertices])
     names = n1 + n2
     facets = [[n1[i] for i in sorted(f)] for f in d1.facets]
     facets += [[n2[i] for i in sorted(f)] for f in d2.facets]
@@ -319,7 +303,7 @@ def disjoint_union(
 
 def product(d1: SimplicialComplex, d2: SimplicialComplex) -> SimplicialComplex:
     """Join of the two complexes: facets are pairwise unions of facets."""
-    n1, n2 = _merged_names(d1, d2)
+    n1, n2 = _disjoint_names([d1.vertices, d2.vertices])
     names = n1 + n2
     facets = []
     for f in d1.facets:

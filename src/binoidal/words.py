@@ -7,11 +7,19 @@ everything under addition.  Words are immutable and hashable.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable
 
 from .errors import IsInfinity
 
 IDENT_RE = r"[A-Za-z_][A-Za-z0-9_]*"
+_IDENT = re.compile(IDENT_RE)
+
+
+def is_identifier(name: str) -> bool:
+    """Whether ``name`` can name a generator: the whole string matches
+    ``IDENT_RE`` and it is not the reserved ``inf``."""
+    return _IDENT.fullmatch(name) is not None and name != "inf"
 
 
 class Word:

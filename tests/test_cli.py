@@ -4,6 +4,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from binoidal import cli
 from binoidal.cli import main
 from binoidal.dot import validate_dot
 
@@ -663,3 +664,64 @@ def test_analysed_presentation_is_freed_without_the_cyclic_collector(monkeypatch
     finally:
         gc.enable()
     assert freed and all(freed)
+
+
+def test_vertex_name_with_a_newline_is_refused():
+    complex_json = '{"vertices": ["a\\n", "b"], "facets": [["a\\n"], ["b"]]}'
+    expected = "error: vertex name 'a\\n' cannot name a generator\n"
+    assert run("simplicial:binoid", complex_json) == (1, "", expected)
+
+
+# one valid call per verb, without options
+_SAMPLE_CALLS = {
+    "spec": ["free(x,y)"],
+    "dim": ["free(x,y)"],
+    "fvector": ["free(x,y)"],
+    "minimal-primes": ["free(x,y)/(x+y=2x)"],
+    "predicates": ["free(x)"],
+    "bool": ["free(x)"],
+    "gb": ["free(x,y)/(2x=y)"],
+    "nf": ["free(x)/(2x=x)", "3x"],
+    "eq": ["free(x)/(2x=x)", "x", "2x"],
+    "hilbert": ["2", "free(x,y)"],
+    "grading": ["free(x,y)/(2x=3y)"],
+    "separated": ["free(x)/(2x=3x)"],
+    "sepdim": ["free(x)"],
+    "count-points": ["free(x)", "--q", "3"],
+    "export-algebra": ["free(x,y)/(x+y=inf)"],
+    "hypersurface-connected": ["free(x,y)/(x=y)"],
+    "classify-one-gen": ["free(x)/(3x=x)"],
+    "smash": ["free(x)", "free(x)"],
+    "product": ["free(x)", "free(y)"],
+    "biunion": ["free(x)", "free(y)"],
+    "quotient": ["free(x,y)", "x"],
+    "simplicial:fvector": ["complex{1,2,3; {1,2},{2,3}}"],
+    "simplicial:nonfaces": ["complex{1,2,3; {1,2},{2,3}}"],
+    "simplicial:components": ["complex{1,2,3; {1,2},{3}}"],
+    "simplicial:binoid": ["complex{1,2,3; {1,2},{2,3}}"],
+    "simplicial:cup": ["complex{1,2,3; {1,2},{2,3}}"],
+    "simplicial:cap": ["complex{1,2,3; {1,2},{3}}"],
+    "simplicial:sr": ["complex{1,2,3; {1,2},{2,3}}"],
+    "simplicial:recognize": ["free(x,y)/(x+y=inf)"],
+}
+
+
+@pytest.mark.parametrize("verb", cli._VERBS)
+def test_verb_accepts_only_the_options_it_reads(verb):
+    argv = [verb, *_SAMPLE_CALLS[verb]]
+    plain = run(*argv)
+    assert plain[0] == 0, plain
+    assert run(*argv, "--threads", "2") == plain
+    for option, value, readers in (
+        ("--budget", "1", {"gb", "nf", "eq", "separated", "sepdim"}),
+        ("--force", None, {"spec", "dim"}),
+        ("--json", None, set(cli._VERBS) - {"export-algebra", "simplicial:sr"}),
+    ):
+        given = [option] + ([value] if value else [])
+        refused = (1, "", f"usage error: unrecognized arguments: {' '.join(given)}\n")
+        assert (run(*argv, *given) == refused) == (verb not in readers), option
+
+
+def test_threads_before_the_verb_is_a_usage_error():
+    code, out, err = run("--threads", "2", "dim", "free(x)")
+    assert (code, out) == (1, "") and err.startswith("usage error: ")

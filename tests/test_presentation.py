@@ -57,6 +57,14 @@ def test_name_validation():
         make_presentation(["2bad"])
 
 
+def test_trailing_newline_is_not_an_identifier():
+    # "$" in a match also matches before a final newline
+    with pytest.raises(PresentationError):
+        free("x\n")
+    with pytest.raises(PresentationError):
+        free("x", "inf\n")
+
+
 def test_word_out_of_range_rejected():
     with pytest.raises(PresentationError):
         make_presentation(["x"], [(Word.generator(3), Word.inf())])
