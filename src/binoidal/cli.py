@@ -413,7 +413,10 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+            raise UsageError(f"options follow the verb: {argv[0]} comes before it")
         return _run(build_parser().parse_args(argv))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -3,21 +3,24 @@
 A positive grading assigns a weight >= 1 to every generator so that both
 sides of each non-absorbing binomial relation get the same weight.  Its
 existence is decided exactly: the weight cone is probed with a two-phase
-rational simplex (Bland's rule, no floating point), and a strictly positive
-solution is scaled to coprime integers.
+simplex on an integer tableau (Bland's rule, fraction-free pivoting, no
+floating point), and a strictly positive solution is scaled to coprime
+integers.  The result is memoized on the presentation, so each presentation
+solves one LP.
 
-Separatedness: a positive grading certifies a separated binoid; for a
-positive integral presentation the converse holds as well, so absence of a
-grading is conclusive there and a witness pair f = f + g with g a nonunit
-is produced.  Outside that regime a found witness still certifies
-non-separatedness, while exhausting the search budget yields Unknown.
+Separatedness: a positive grading certifies a separated binoid, and the
+witness search is skipped where one exists; for a positive integral
+presentation the converse holds as well, so absence of a grading is
+conclusive there and a witness pair f = f + g with g a nonunit is produced.
+Outside that regime a found witness still certifies non-separatedness,
+while exhausting the search budget yields Unknown.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import add
 from typing import Optional
 
@@ -47,12 +50,17 @@ class SeparationReport:
 
 
 def _simplex_max(
-    a: list[list[Fraction]], b: list[Fraction], c: list[Fraction]
+    a: list[list[int]], b: list[int], c: list[int]
 ) -> Optional[list[Fraction]]:
     """Maximize c.x subject to a.x == b, x >= 0; None when infeasible.
 
-    Two-phase tableau simplex with Bland's rule.  The problem instances here
-    are always bounded (the objective is capped by a convexity row), so an
+    Two-phase tableau simplex with Bland's rule, on integer rows.  Row i
+    stands for the rational row divided by its entry in column ``basis[i]``,
+    which stays positive, and the cost row for a positive multiple of the
+    rational one.  So every sign test reads the integer entries, the ratio
+    test compares by cross-multiplication, and the pivots and the solution
+    are those of the rational tableau.  The problem instances here are
+    always bounded (the objective is capped by a convexity row), so an
     unbounded pivot search is treated as an error.
     """
     m = len(a)
@@ -62,22 +70,24 @@ def _simplex_max(
             a[i] = [-x for x in a[i]]
             b[i] = -b[i]
     # phase 1: artificial variables
-    tab = [row[:] + [Fraction(1 if j == i else 0) for j in range(m)] + [b[i]]
-           for i, row in enumerate(a)]
+    tab = [row[:] + [int(j == i) for j in range(m)] + [b[i]] for i, row in enumerate(a)]
     basis = [n + i for i in range(m)]
-    cost = [Fraction(0)] * (n + m + 1)
-    for j in range(n):
-        cost[j] = sum(tab[i][j] for i in range(m))
-    cost[-1] = sum(b)
+    cost = [sum(row[j] for row in tab) for j in range(n)] + [0] * m + [sum(b)]
 
-    def cleared(row: list, i: int) -> list:
-        """``row`` minus the multiple of ``tab[i]`` that zeroes its column ``basis[i]``."""
+    def cleared(row: list[int], i: int) -> list[int]:
+        """A positive multiple of ``row`` minus one of ``tab[i]``, zero in column
+        ``basis[i]``, divided by the gcd of its entries."""
         f = row[basis[i]]
-        return [x - f * y for x, y in zip(row, tab[i])] if f else row
+        if not f:
+            return row
+        d = tab[i][basis[i]]
+        out = [d * x - f * y for x, y in zip(row, tab[i])]
+        g = gcd(*out)
+        return [x // g for x in out] if g > 1 else out
 
     def pivot_on(row: int, enter: int) -> None:
-        piv = tab[row][enter]
-        tab[row] = [x / piv for x in tab[row]]
+        if tab[row][enter] < 0:
+            tab[row] = [-x for x in tab[row]]
         basis[row] = enter
         for i in range(m):
             if i != row:
@@ -91,15 +101,18 @@ def _simplex_max(
         best = None
         for i in range(m):
             if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                if best is None or ratio < best[0] or (
-                    ratio == best[0] and basis[i] < basis[best[1]]
-                ):
-                    best = (ratio, i)
+                if best is None:
+                    best = i
+                    continue
+                # tab[i][-1] / tab[i][enter] against the same ratio of row best
+                lhs = tab[i][-1] * tab[best][enter]
+                rhs = tab[best][-1] * tab[i][enter]
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
+                    best = i
         if best is None:
             raise ArithmeticError("unbounded simplex problem")
-        pivot_on(best[1], enter)
-        cost = cleared(cost, best[1])
+        pivot_on(best, enter)
+        cost = cleared(cost, best)
         return True
 
     while pivot(n + m):
@@ -113,7 +126,7 @@ def _simplex_max(
             if enter is not None:  # else a redundant row
                 pivot_on(i, enter)
     # phase 2
-    cost = [Fraction(x) for x in c] + [Fraction(0)] * m + [Fraction(0)]
+    cost = list(c) + [0] * (m + 1)
     for i in range(m):
         cost = cleared(cost, i)
     while pivot(n):
@@ -121,7 +134,7 @@ def _simplex_max(
     x = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = tab[i][-1]
+            x[basis[i]] = Fraction(tab[i][-1], tab[i][basis[i]])
     return x
 
 
@@ -130,14 +143,22 @@ def find_positive_grading(p: Presentation) -> Optional[GradingVector]:
 
     Relations whose sides are congruent to the absorbing element impose no
     constraint, exactly like monomial relations, so they are filtered out
-    through the rewrite system first.
+    through the rewrite system first.  The weights, or None, are memoized on
+    ``p``.
     """
+    if "grading" not in p._memo:
+        p._memo["grading"] = _grading_weights(p)
+    weights = p._memo["grading"]
+    return None if weights is None else GradingVector(weights)
+
+
+def _grading_weights(p: Presentation) -> Optional[tuple[int, ...]]:
     r = p.rank
     if r == 0:
-        return GradingVector(())
+        return ()
     rows = []
     for rel in rewrite.completion(p).live_binomials():
-        row = [Fraction(0)] * r
+        row = [0] * r
         for i, e in rel.lhs.exps:
             row[i] += e
         for i, e in rel.rhs.exps:
@@ -146,37 +167,25 @@ def find_positive_grading(p: Presentation) -> Optional[GradingVector]:
             rows.append(row)
     # variables: w_1..w_r, slack s_1..s_r, and t = t_plus - t_minus
     n = 2 * r + 2
-    a: list[list[Fraction]] = []
-    b: list[Fraction] = []
-    for row in rows:
-        a.append(row + [Fraction(0)] * (r + 2))
-        b.append(Fraction(0))
+    a = [row + [0] * (r + 2) for row in rows]
     for i in range(r):
-        cons = [Fraction(0)] * n
-        cons[i] = Fraction(1)
-        cons[r + i] = Fraction(-1)
-        cons[2 * r] = Fraction(-1)
-        cons[2 * r + 1] = Fraction(1)
+        cons = [0] * n
+        cons[i] = 1
+        cons[r + i] = -1
+        cons[2 * r] = -1
+        cons[2 * r + 1] = 1
         a.append(cons)
-        b.append(Fraction(0))
-    a.append([Fraction(1)] * r + [Fraction(0)] * (r + 2))
-    b.append(Fraction(1))
-    c = [Fraction(0)] * (2 * r) + [Fraction(1), Fraction(-1)]
+    a.append([1] * r + [0] * (r + 2))
+    b = [0] * (len(a) - 1) + [1]
+    c = [0] * (2 * r) + [1, -1]
     x = _simplex_max(a, b, c)
-    if x is None:
-        return None
-    t = x[2 * r] - x[2 * r + 1]
-    if t <= 0:
+    if x is None or x[2 * r] - x[2 * r + 1] <= 0:
         return None
     w = x[:r]
-    scale = 1
-    for f in w:
-        scale = scale * f.denominator // gcd(scale, f.denominator)
-    ints = [int(f * scale) for f in w]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    return GradingVector(tuple(v // g for v in ints))
+    scale = lcm(*(f.denominator for f in w))
+    ints = [f.numerator * (scale // f.denominator) for f in w]
+    g = gcd(*ints)
+    return tuple(v // g for v in ints)
 
 
 def _witness_scan(
@@ -194,6 +203,10 @@ def _witness_scan(
     s = spectrum.spectrum_of(p)
     if s.is_empty:
         return None
+    if find_positive_grading(p) is not None:
+        # f + g = f with f finite is derived through finite words only, so by
+        # live binomials, which keep the degree: deg g = 0, so g is no nonunit
+        return []
     nonunit = s.max_ideal.gens
     gs = [
         v
@@ -267,6 +280,6 @@ def sepdim(
     over = spectrum.v_set(p, witnesses)
     sub = spectrum.Spectrum(p, tuple(over))
     value = max(sub.heights().values()) if over else -1
-    quotient = rees_quotient(p, witnesses)
+    quotient = rees_quotient(p, witnesses) if witnesses else p
     certified = is_separated(quotient, degree_budget).verdict == SEPARATED
     return value, certified

@@ -84,6 +84,8 @@ class _Tokens:
 
 
 _INT = re.compile(r"^\d+$")
+# a vertex name is one token of the complex literal, so it prints back
+_VERTEX = re.compile(rf"{IDENT_RE}|\d+")
 
 
 def _parse_term(tokens: _Tokens, index: dict[str, int]) -> Word:
@@ -179,7 +181,12 @@ def _parse_complex_literal(text: str) -> SimplicialComplex:
     tokens.expect("{")
     names: list[str] = []
     while tokens.peek() not in (";", "}"):
-        names.append(tokens.next())
+        line, col = tokens.where()
+        name = tokens.next()
+        if not _VERTEX.fullmatch(name):
+            message = f"vertex name {name!r} cannot name a generator"
+            raise ParseError(message, line, col)
+        names.append(name)
         if tokens.peek() == ",":
             tokens.next()
     facets: list[list[str]] = []
@@ -218,9 +225,13 @@ def parse_complex(text: str) -> SimplicialComplex:
             isinstance(facets, list) and all(isinstance(f, list) for f in facets)
         ):
             raise ParseError("JSON complex needs a vertex list and facet lists", 1, 1)
+        names = [str(v) for v in vertices]
+        bad = next((v for v in names if not _VERTEX.fullmatch(v)), None)
+        if bad is not None:
+            raise PresentationError(f"vertex name {bad!r} cannot name a generator")
         try:
             return from_facets(
-                [str(v) for v in vertices],
+                names,
                 [[str(v) for v in f] for f in facets],
             )
         except PresentationError as exc:

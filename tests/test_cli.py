@@ -666,6 +666,76 @@ def test_analysed_presentation_is_freed_without_the_cyclic_collector(monkeypatch
     assert freed and all(freed)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["grading", "free(x,y)/(2x=3y)"],
+        ["separated", "free(x,y)/(2x=3y)"],
+        ["sepdim", "free(x,y)/(2x=3y)"],
+        ["hilbert", "3", "free(x,y)/(2x=3y)"],
+    ],
+)
+def test_graded_presentation_is_freed_without_the_cyclic_collector(monkeypatch, argv):
+    # the memo keeps the grading weights, nothing that refers back to p
+    import gc
+    import weakref
+
+    refs = []
+    parse = cli.parse_presentation
+
+    def tracked(text):
+        p = parse(text)
+        refs.append(weakref.ref(p))
+        return p
+
+    monkeypatch.setattr(cli, "parse_presentation", tracked)
+    gc.disable()
+    try:
+        assert run(*argv)[0] == 0
+        freed = [ref() is None for ref in refs]
+    finally:
+        gc.enable()
+    assert freed == [True]
+
+
+def test_sepdim_of_a_gradable_presentation_analyses_it_once(monkeypatch):
+    # a grading rules out every witness: no witness scan, and the certificate
+    # reads the memo of p instead of analysing a copy of it
+    from binoidal import grading, rewrite, spectrum
+
+    calls = {"complete": 0, "compute_spectrum": 0, "_simplex_max": 0, "_normal_forms": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(rewrite, "complete")
+    counted(spectrum, "compute_spectrum")
+    counted(grading, "_simplex_max")
+    counted(rewrite, "_normal_forms")
+    assert run("sepdim", "free(x,y,z)/(x+y=2z)") == (0, "2 (certified)\n", "")
+    assert calls == {"complete": 1, "compute_spectrum": 1, "_simplex_max": 1, "_normal_forms": 0}
+
+
+def test_options_before_the_verb_are_named():
+    expected = "usage error: options follow the verb: --json comes before it\n"
+    assert run("--json", "dim", "free(x)") == (1, "", expected)
+    with pytest.raises(SystemExit) as done:  # argparse prints the help and exits
+        run("--help")
+    assert done.value.code == 0
+
+
+def test_vertex_name_that_does_not_print_back_is_refused():
+    complex_json = '{"vertices": ["a,b", "c"], "facets": [["a,b"], ["c"]]}'
+    expected = "error: vertex name 'a,b' cannot name a generator\n"
+    assert run("simplicial:components", complex_json) == (1, "", expected)
+
+
 def test_vertex_name_with_a_newline_is_refused():
     complex_json = '{"vertices": ["a\\n", "b"], "facets": [["a\\n"], ["b"]]}'
     expected = "error: vertex name 'a\\n' cannot name a generator\n"

@@ -1,12 +1,14 @@
+import json
 import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from binoidal.errors import ParseError
+from binoidal.errors import ParseError, PresentationError
 from binoidal.parser import parse_complex, parse_presentation, parse_term
 from binoidal.presentation import Presentation
+from binoidal.simplicial import from_facets
 
 
 def test_basic_presentation():
@@ -122,6 +124,33 @@ def test_complex_pretty_roundtrips():
     ]:
         delta = parse_complex(text)
         assert parse_complex(delta.pretty()) == delta
+
+
+def test_complex_vertex_names_that_do_not_print_back_are_refused():
+    for text in ["complex{+,a; {+},{a}}", "complex{a,é; {a},{é}}"]:
+        with pytest.raises(ParseError):
+            parse_complex(text)
+    for name in ["a,b", "a b", "", "-1", "1.5", "x\n"]:
+        data = json.dumps({"vertices": [name, "c"], "facets": [[name], ["c"]]})
+        with pytest.raises(PresentationError, match="cannot name a generator"):
+            parse_complex(data)
+
+
+@st.composite
+def complexes(draw):
+    names = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}|[0-9]{1,3}", fullmatch=True)
+    vertices = draw(st.lists(names, min_size=1, max_size=6, unique=True))
+    facets = draw(
+        st.lists(st.lists(st.sampled_from(vertices), min_size=1), max_size=5)
+    )
+    covered = {v for f in facets for v in f}
+    return from_facets(vertices, facets + [[v] for v in vertices if v not in covered])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(complexes())
+def test_printed_complex_parses_back(delta):
+    assert parse_complex(delta.pretty()) == delta
 
 
 def test_fixture_roundtrips():

@@ -1,5 +1,7 @@
-"""The tuple reduction kernel against the reference loops in tests_support."""
+"""The tuple reduction kernel and the integer simplex against the reference
+loops in tests_support."""
 
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -16,7 +18,9 @@ from tests_support import (
     oracle_order_delta,
     oracle_reduce,
     oracle_sepdim,
+    oracle_simplex_max,
     oracle_witness_pairs,
+    random_presentation,
 )
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -152,3 +156,62 @@ def test_hilbert_samuel_matches_the_per_element_loop(p, n):
         assert rewrite.order_delta(p, weights, w) == oracle_order_delta(
             p, weights, w, rs
         )
+
+
+@SETTINGS
+@given(graded_presentations(), st.integers(0, 4))
+def test_witness_search_on_gradable_presentations(p, budget):
+    # the word loops find no witness where a grading exists, so skipping the
+    # scan there gives their answer
+    pairs = oracle_witness_pairs(p, budget)
+    assert pairs == []
+    assert grading.find_unseparated(p, budget) is None
+    assert grading.sepdim(p, budget) == oracle_sepdim(p, budget)
+
+
+def _solved(simplex, a, b, c):
+    """The solution, or "unbounded"; the problem is copied first, since the
+    simplex negates rows in place."""
+    try:
+        return simplex([row[:] for row in a], b[:], c[:])
+    except ArithmeticError:
+        return "unbounded"
+
+
+def _rational(a, b, c):
+    a = [[Fraction(x) for x in row] for row in a]
+    return a, [Fraction(x) for x in b], [Fraction(x) for x in c]
+
+
+@st.composite
+def linear_programs(draw):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    entry = st.integers(-3, 3)
+    a = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    return a, [draw(entry) for _ in range(m)], [draw(entry) for _ in range(n)]
+
+
+@SETTINGS
+@given(linear_programs())
+def test_integer_simplex_matches_the_rational_one(lp):
+    assert _solved(grading._simplex_max, *lp) == _solved(
+        oracle_simplex_max, *_rational(*lp)
+    )
+
+
+@SETTINGS
+@given(st.randoms(use_true_random=False))
+def test_grading_lp_matches_the_rational_simplex(rng):
+    p = random_presentation(rng, max_rank=4, max_rels=4, max_degree=4)
+    solve = grading._simplex_max
+    seen = []
+
+    def recorded(a, b, c):
+        seen.append(([row[:] for row in a], b[:], c[:]))
+        return solve(a, b, c)
+
+    with mock.patch.object(grading, "_simplex_max", recorded):
+        grading.find_positive_grading(p)
+    (lp,) = seen
+    assert all(type(x) is int for row in lp[0] for x in row + lp[1] + lp[2])
+    assert _solved(solve, *lp) == _solved(oracle_simplex_max, *_rational(*lp))

@@ -1,6 +1,8 @@
 """Shared helpers for the test suite."""
 
 import itertools
+from fractions import Fraction
+from typing import Optional
 
 from binoidal import grading, rewrite, spectrum
 from binoidal.errors import (
@@ -303,3 +305,86 @@ def oracle_hilbert_samuel(p, n):
         oracle_order_delta(p, found.weights, w, rs) < n
         for w in rewrite.enumerate_elements(rs, n - 1)
     )
+
+
+# The rational simplex that grading._simplex_max replaced: the same tableau
+# and pivot rule on Fraction entries.
+
+
+def oracle_simplex_max(
+    a: list[list[Fraction]], b: list[Fraction], c: list[Fraction]
+) -> Optional[list[Fraction]]:
+    """Maximize c.x subject to a.x == b, x >= 0; None when infeasible.
+
+    Two-phase tableau simplex with Bland's rule.  The problem instances here
+    are always bounded (the objective is capped by a convexity row), so an
+    unbounded pivot search is treated as an error.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    for i in range(m):
+        if b[i] < 0:
+            a[i] = [-x for x in a[i]]
+            b[i] = -b[i]
+    # phase 1: artificial variables
+    tab = [row[:] + [Fraction(1 if j == i else 0) for j in range(m)] + [b[i]]
+           for i, row in enumerate(a)]
+    basis = [n + i for i in range(m)]
+    cost = [Fraction(0)] * (n + m + 1)
+    for j in range(n):
+        cost[j] = sum(tab[i][j] for i in range(m))
+    cost[-1] = sum(b)
+
+    def cleared(row: list, i: int) -> list:
+        """``row`` minus the multiple of ``tab[i]`` that zeroes its column ``basis[i]``."""
+        f = row[basis[i]]
+        return [x - f * y for x, y in zip(row, tab[i])] if f else row
+
+    def pivot_on(row: int, enter: int) -> None:
+        piv = tab[row][enter]
+        tab[row] = [x / piv for x in tab[row]]
+        basis[row] = enter
+        for i in range(m):
+            if i != row:
+                tab[i] = cleared(tab[i], row)
+
+    def pivot(col_limit: int) -> bool:
+        nonlocal cost
+        enter = next((j for j in range(col_limit) if cost[j] > 0), None)
+        if enter is None:
+            return False
+        best = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][-1] / tab[i][enter]
+                if best is None or ratio < best[0] or (
+                    ratio == best[0] and basis[i] < basis[best[1]]
+                ):
+                    best = (ratio, i)
+        if best is None:
+            raise ArithmeticError("unbounded simplex problem")
+        pivot_on(best[1], enter)
+        cost = cleared(cost, best[1])
+        return True
+
+    while pivot(n + m):
+        pass
+    if cost[-1] != 0:
+        return None  # artificial cost not driven to zero: infeasible
+    # drive remaining artificial variables out of the basis where possible
+    for i in range(m):
+        if basis[i] >= n:
+            enter = next((j for j in range(n) if tab[i][j] != 0), None)
+            if enter is not None:  # else a redundant row
+                pivot_on(i, enter)
+    # phase 2
+    cost = [Fraction(x) for x in c] + [Fraction(0)] * m + [Fraction(0)]
+    for i in range(m):
+        cost = cleared(cost, i)
+    while pivot(n):
+        pass
+    x = [Fraction(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = tab[i][-1]
+    return x
