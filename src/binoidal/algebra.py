@@ -379,7 +379,7 @@ class TorsionReport:
 def torsion_free_cancellative_quotient(p: Presentation) -> TorsionReport:
     """Difference group over the minimal prime of an integral presentation."""
     rs = rewrite.completion(p)
-    if not spectrum.predicates(p).integral:
+    if not spectrum.is_integral(p):
         raise NotIntegral("the presentation is not integral")
     group = diff_group_at(p, spectrum.PrimeIdeal(rs.absorbed_generators()))
     return TorsionReport(group=group, torsion_free=group.torsion_free)

@@ -13,7 +13,10 @@ witness search is skipped where one exists; for a positive integral
 presentation the converse holds as well, so absence of a grading is
 conclusive there and a witness pair f = f + g with g a nonunit is produced.
 Outside that regime a found witness still certifies non-separatedness,
-while exhausting the search budget yields Unknown.
+while exhausting the search budget yields Unknown.  The regime is read from
+``presentation.units`` and ``spectrum.is_integral``, without the spectrum
+scan; the witness search, exponential in the rank too, refuses the ranks
+past ``spectrum.GENERATOR_CAP`` itself.
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ from operator import add
 from typing import Optional
 
 from . import rewrite, spectrum
+from .bitmask import indices
 from .errors import ZeroBinoid
-from .presentation import Presentation, rees_quotient
+from .presentation import Presentation, rees_quotient, units
 from .words import Word
 
 SEPARATED = "Separated"
@@ -197,17 +201,19 @@ def _witness_scan(
     over the words of degree 1..budget that involve a generator of the
     maximal ideal, lexicographically within each degree; each f contributes
     its first g.  With first_only the scan stops at the first pair.  None
-    for the zero binoid, which has no maximal ideal.
+    for the zero binoid, which has no maximal ideal.  The scan is exponential
+    in the rank, so it refuses the ranks the spectrum scan refuses.
     """
     rs = rewrite.completion(p)
-    s = spectrum.spectrum_of(p)
-    if s.is_empty:
+    unit_mask = units(p)
+    if unit_mask is None:
         return None
     if find_positive_grading(p) is not None:
         # f + g = f with f finite is derived through finite words only, so by
         # live binomials, which keep the degree: deg g = 0, so g is no nonunit
         return []
-    nonunit = s.max_ideal.gens
+    spectrum.check_scan_cap(p.rank)
+    nonunit = indices(((1 << p.rank) - 1) ^ unit_mask)
     gs = [
         v
         for d in range(1, degree_budget + 1)
@@ -242,9 +248,7 @@ def find_unseparated(
 def is_separated(
     p: Presentation, degree_budget: int = DEFAULT_WITNESS_BUDGET
 ) -> SeparationReport:
-    rewrite.completion(p)  # before the spectrum, so its errors come first
-    preds = spectrum.predicates(p)
-    applicable = preds.positive and preds.integral
+    applicable = units(p) == 0 and spectrum.is_integral(p)
     grading = find_positive_grading(p)
     if grading is not None:
         return SeparationReport(SEPARATED, None, grading, applicable)

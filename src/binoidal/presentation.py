@@ -13,8 +13,9 @@ counting identities exercised in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
+from .bitmask import word_mask
 from .errors import NotPositive, PresentationError
 from .words import Word, is_identifier
 
@@ -89,6 +90,33 @@ class Presentation:
             return head
         body = ", ".join(rel.pretty(self.generators) for rel in self.relations)
         return f"{head}/({body})"
+
+
+def units(p: Presentation) -> Optional[int]:
+    """Bitmask of the unit generators; None for the zero binoid.
+
+    The units form the smallest face, the complement of the maximal ideal
+    M+: the least generator set closed under adding the support of one side
+    of a binomial relation once the other side's support lies inside it.
+    Every face, the complement of a prime, is so closed, so it contains
+    this set; no face exists when the set covers a monomial left side.
+    """
+    binomials = [
+        (word_mask(rel.lhs), word_mask(rel.rhs)) for rel in p.binomial_relations()
+    ]
+    face = 0
+    grown = True
+    while grown:
+        grown = False
+        for a, b in binomials:
+            ab = a | b
+            if ab & face != ab and (a & face == a or b & face == b):
+                face |= ab
+                grown = True
+    monomials = (word_mask(rel.lhs) for rel in p.monomial_relations())
+    if any(m & face == m for m in monomials):
+        return None
+    return face
 
 
 def _check_names(names: Sequence[str]) -> tuple[str, ...]:
@@ -233,10 +261,8 @@ def product(ps: Sequence[Presentation]) -> Presentation:
 
 def bipointed_union(p1: Presentation, p2: Presentation) -> Presentation:
     """Glue two positive presentations at 0 and inf; cross sums absorb."""
-    from .spectrum import predicates  # deferred; spectrum builds on this module
-
     for p in (p1, p2):
-        if p.rank and predicates(p).units:
+        if units(p):
             raise NotPositive(
                 f"bipointed union requires positive factors; {p.pretty()} has units"
             )

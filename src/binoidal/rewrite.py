@@ -27,7 +27,7 @@ from .errors import (
     NoPositiveGrading,
     NotPositive,
 )
-from .presentation import Presentation, Relation
+from .presentation import Presentation, Relation, units
 from .words import Word
 
 INF = None  # internal marker for an absorbing right-hand side
@@ -285,11 +285,9 @@ def order_delta(p: Presentation, grading, w: Word) -> int:
     congruence class away from the absorbing element sits in one finite
     weight level and the maximum exists.
     """
-    from .spectrum import predicates
-
     weights = tuple(grading.weights) if hasattr(grading, "weights") else tuple(grading)
     rs = completion(p)
-    if predicates(p).units:
+    if units(p):
         raise NotPositive("order function requires a positive binoid")
     _validate_grading(p, weights)
     if rs.normal_form(w).is_inf:
@@ -339,12 +337,11 @@ def hilbert_samuel(p: Presentation, n: int) -> int:
     algorithm is attempted.
     """
     from .grading import find_positive_grading
-    from .spectrum import predicates
 
     if n < 1:
         raise ValueError("n must be a positive integer")
     rs = completion(p)
-    if predicates(p).units:
+    if units(p):
         raise NotPositive("Hilbert-Samuel values require a positive binoid")
     grading = find_positive_grading(p)
     if grading is None:

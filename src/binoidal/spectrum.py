@@ -33,7 +33,7 @@ from typing import Iterable, Optional, Sequence
 from . import rewrite
 from .bitmask import indices, mask_of, union, word_mask
 from .errors import TooManyGenerators, ZeroBinoid
-from .presentation import Presentation, Relation
+from .presentation import Presentation, Relation, units
 from .words import Word
 
 GENERATOR_CAP = 24
@@ -194,13 +194,19 @@ class Spectrum:
         return out
 
 
-def compute_spectrum(p: Presentation, force: bool = False) -> Spectrum:
-    """All admissible generator subsets, by cardinality then lexicographic."""
-    r = p.rank
-    if r > GENERATOR_CAP and not force:
+def check_scan_cap(r: int) -> None:
+    """Refuse a scan over the subsets of more than ``GENERATOR_CAP`` generators."""
+    if r > GENERATOR_CAP:
         raise TooManyGenerators(
             f"{r} generators exceed the 2^{GENERATOR_CAP} scan cap; use force"
         )
+
+
+def compute_spectrum(p: Presentation, force: bool = False) -> Spectrum:
+    """All admissible generator subsets, by cardinality then lexicographic."""
+    r = p.rank
+    if not force:
+        check_scan_cap(r)
     compiled = _compile(p.relations)
     bits = [1 << i for i in range(r)]
     primes = []
@@ -341,23 +347,29 @@ class Predicates:
     boolean: bool
 
 
+def is_integral(p: Presentation) -> bool:
+    """The generators collapsing to the absorbing element form a prime."""
+    absorbed = mask_of(rewrite.completion(p).absorbed_generators())
+    return _admits(absorbed, _compile(p.relations))
+
+
 def predicates(p: Presentation) -> Predicates:
     """Structural predicates of the presented binoid.
 
-    Units are the generators outside the maximal ideal; integrality asks
-    whether the generators collapsing to the absorbing element form an
-    admissible subset; reducedness checks that every minimal transversal of
-    the minimal-prime generator sets is absorbing.
+    Units come from ``presentation.units`` and integrality from
+    ``is_integral``, neither of which scans.  Only reducedness needs the
+    spectrum: every minimal transversal of the minimal-prime generator sets
+    must be absorbing.  Every prime contains the absorbed generators and
+    lies inside M+, so an integral binoid whose units and absorbed
+    generators cover all generators has one prime: it is a binoid group.
     """
-    s = spectrum_of(p)
-    if s.is_empty:
+    unit_mask = units(p)
+    if unit_mask is None:
         return Predicates(False, False, (), False, False, False)
+    s = spectrum_of(p)  # before completion, so the scan cap is refused first
     rs = rewrite.completion(p)
-    max_mask = s.max_ideal.mask
-    units = tuple(
-        name for i, name in enumerate(p.generators) if not max_mask >> i & 1
-    )
-    integral = _admits(mask_of(rs.absorbed_generators()), _compile(p.relations))
+    integral = is_integral(p)
+    absorbed = mask_of(rs.absorbed_generators())
     minimal = _minimal(s.primes)
     reduced = True
     for t in minimal_transversals([frozenset(m.gens) for m in minimal]):
@@ -371,14 +383,12 @@ def predicates(p: Presentation) -> Predicates:
         rs.equal(Word.generator(i).scale(2), Word.generator(i))
         for i in range(p.rank)
     )
-    # a binoid group has dimension 0; the primes are closed under union, so
-    # an antichain of them is a single prime and no heights are needed
     return Predicates(
         integral=integral,
-        positive=not units,
-        units=units,
+        positive=not unit_mask,
+        units=tuple(name for i, name in enumerate(p.generators) if unit_mask >> i & 1),
         reduced=reduced,
-        binoid_group=integral and len(s.primes) == 1,
+        binoid_group=integral and unit_mask | absorbed == (1 << p.rank) - 1,
         boolean=boolean,
     )
 

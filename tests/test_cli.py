@@ -512,8 +512,42 @@ def test_verb_golden(argv, code, stdout):
     assert run(*argv)[:2] == (code, stdout)
 
 
-# Precondition and undecided exits, pinned with their exact stderr.
+def _free(n):
+    return "free(" + ",".join(f"g{i}" for i in range(n)) + ")"
+
+
+_CAP_ERROR = "TooManyGenerators: 25 generators exceed the 2^24 scan cap; use force\n"
+
+# Precondition and undecided exits, and the calls past the 24-generator scan
+# cap, pinned with their exact stderr.
 GOLDEN_EXITS = {
+    # units and integrality need no scan, so positivity questions answer
+    "separated-30-free": (
+        ["separated", _free(30), "--json"],
+        0,
+        (
+            f'{{"command": "separated", "input": "{_free(30)}", "result": '
+            f'{{"certified": true, "grading": [{", ".join(["1"] * 30)}], '
+            '"verdict": "Separated", "witness": null}}\n'
+        ),
+        "",
+    ),
+    "hilbert-25-free": (["hilbert", "2", _free(25)], 0, "26\n", ""),
+    "biunion-25-free": (
+        ["biunion", _free(25), "free(x)"],
+        0,
+        _free(25)[:-1]
+        + ",x)/("
+        + ", ".join(f"g{i}+x=inf" for i in range(25))
+        + ")\n",
+        "",
+    ),
+    # the witness scan, the prime count and reducedness keep the cap
+    "separated-25-ungradable": (
+        ["separated", _free(25) + "/(g0+g1=g0)"], 3, "", _CAP_ERROR
+    ),
+    "sepdim-25-free": (["sepdim", _free(25)], 3, "", _CAP_ERROR),
+    "predicates-25-free": (["predicates", _free(25)], 3, "", _CAP_ERROR),
     "hilbert-not-positive": (
         ["hilbert", "2", "free(x,y)/(x+y=0)"],
         3,
@@ -612,19 +646,22 @@ def test_each_presentation_is_completed_and_scanned_at_most_once(monkeypatch):
 
     counted(rewrite, "complete")
     counted(spectrum, "compute_spectrum")
+    # (argv, (complete calls, compute_spectrum calls)); units and
+    # integrality need no scan, so only sepdim's prime count and the
+    # simplicial recognizer scan
     calls = [
-        ["separated", "free(x)/(2x=3x)", "--budget", "0"],
-        ["sepdim", "free(x)/(2x=3x)"],
-        ["sepdim", "free(x,y)/(x+y=2y, 3x=2x)"],
-        ["hilbert", "3", "free(x,y)/(x+y=2y)"],
-        ["simplicial:recognize", "free(x,y,z)/(x+y=inf)"],
+        (["separated", "free(x)/(2x=3x)", "--budget", "0"], (1, 0)),
+        (["sepdim", "free(x)/(2x=3x)"], (2, 1)),
+        (["sepdim", "free(x,y)/(x+y=2y, 3x=2x)"], (2, 1)),
+        (["hilbert", "3", "free(x,y)/(x+y=2y)"], (1, 0)),
+        (["simplicial:recognize", "free(x,y,z)/(x+y=inf)"], (1, 1)),
     ]
-    for argv in calls:
+    for argv, counts in calls:
         for found in seen.values():
             found.clear()
         assert run(*argv)[0] == 0, argv
+        assert tuple(map(len, seen.values())) == counts, argv
         for name, found in seen.items():
-            assert found, (argv, name)
             assert len({id(p) for p in found}) == len(found), (argv, name)
     # an empty spectrum decides every predicate before completion runs
     seen["complete"].clear()

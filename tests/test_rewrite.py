@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binoidal import rewrite
 from binoidal.errors import (
@@ -14,7 +16,9 @@ from binoidal.errors import (
 )
 from binoidal.grading import GradingVector
 from binoidal.parser import parse_presentation, parse_term
+from binoidal.presentation import make_presentation
 from binoidal.words import Word
+from tests_support import assert_equal_matches_oracle, random_presentation
 
 def test_completion_single_binomial():
     p = parse_presentation("free(x,y)/(x+y=2x)")
@@ -100,13 +104,29 @@ def test_congruence_compatibility_of_normal_forms():
 
 
 def test_equal_agrees_with_saturation_oracle_on_random_presentations():
-    from tests_support import assert_equal_matches_oracle, random_presentation
-
     rng = random.Random(1349)
     for _ in range(60):
         p = random_presentation(rng)
         rs = rewrite.complete(p)
         assert_equal_matches_oracle(p, rs)
+
+
+@st.composite
+def small_presentations(draw):
+    """Rank <= 3 and words of degree <= 3, inside the saturation windows."""
+    rank = draw(st.integers(1, 3))
+    word = st.lists(st.integers(0, rank - 1), max_size=3).map(
+        lambda gens: Word((i, 1) for i in gens)
+    )
+    rhs = st.one_of(word, st.just(Word.inf()))
+    rels = draw(st.lists(st.tuples(word, rhs), max_size=3))
+    return make_presentation([f"g{i}" for i in range(rank)], rels)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(small_presentations())
+def test_completion_agrees_with_saturation_oracle(p):
+    assert_equal_matches_oracle(p, rewrite.complete(p))
 
 
 def test_torsion_pair_stays_separated_below_its_multiple():

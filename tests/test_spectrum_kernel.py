@@ -5,12 +5,13 @@ import random
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from binoidal import simplicial, spectrum
+from binoidal import rewrite, simplicial, spectrum
 from binoidal.parser import parse_presentation
-from binoidal.presentation import free, make_presentation, product
+from binoidal.presentation import free, make_presentation, product, units
 from binoidal.simplicial import from_facets, simplicial_binoid
 from binoidal.words import Word
 from tests_support import (
+    oracle_admissible,
     oracle_booleanize,
     oracle_covers,
     oracle_heights,
@@ -127,6 +128,21 @@ def test_binoid_group_without_heights(p):
     preds = spectrum.predicates(p)
     dim = max(oracle_heights(gens_of(s.primes)).values())
     assert preds.binoid_group == (preds.integral and dim == 0)
+
+
+@SETTINGS
+@given(presentations())
+def test_units_and_integrality_match_the_scan(p):
+    primes = oracle_spectrum(p)
+    if not primes:
+        assert units(p) is None
+    else:
+        nonunits = set().union(*primes)
+        assert units(p) == sum(1 << i for i in range(p.rank) if i not in nonunits)
+    absorbed = frozenset(rewrite.completion(p).absorbed_generators())
+    assert spectrum.is_integral(p) == oracle_admissible(absorbed, p.relations)
+    preds = spectrum.predicates(p)
+    assert preds.binoid_group == (preds.integral and len(primes) == 1)
 
 
 def test_heights_of_products_of_free_binoids():
