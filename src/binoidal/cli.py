@@ -202,9 +202,8 @@ def _separated(args):
 
 def _sepdim(args):
     p = _pres(args)
-    value, certified = grading.sepdim(p, degree_budget=args.budget)
-    human = f"{value} ({'certified' if certified else 'upper bound'})"
-    return p.pretty(), {"value": value, "certified": certified}, human
+    value, certified = grading.sepdim(p)
+    return p.pretty(), {"value": value, "certified": certified}, f"{value} (certified)"
 
 
 def _count_points(args):
@@ -331,7 +330,8 @@ def _simplicial_recognize(args):
 # One row per verb: its arguments as (name, add_argument kwargs) pairs, in
 # the order ``build_parser`` adds them, and its handler.  The row names every
 # option the handler reads; the parser refuses any other, except the inert
-# ``--threads`` that every verb accepts.
+# ``--threads`` that every verb accepts and the inert ``--budget`` of
+# ``sepdim``, whose value is exact without a witness budget.
 _PRES = (("presentation", {}),)
 _PAIR = (("presentation1", {}), ("presentation2", {}))
 _COMPLEX = (("complex", {}),)

@@ -1,12 +1,12 @@
-"""Positive gradings and separatedness.
+"""Positive gradings, separatedness and the separated dimension.
 
 A positive grading assigns a weight >= 1 to every generator so that both
-sides of each non-absorbing binomial relation get the same weight.  Its
-existence is decided exactly: the weight cone is probed with a two-phase
+sides of each non-absorbing binomial relation get the same weight.  One
+helper decides whether weights >= 1 kill a set of integer rows: a two-phase
 simplex on an integer tableau (Bland's rule, fraction-free pivoting, no
-floating point), and a strictly positive solution is scaled to coprime
-integers.  The result is memoized on the presentation, so each presentation
-solves one LP.
+floating point), with a strictly positive solution scaled to coprime
+integers.  On all live binomials it gives the grading, memoized on the
+presentation, so each presentation solves one LP for it.
 
 Separatedness: a positive grading certifies a separated binoid, and the
 witness search is skipped where one exists; for a positive integral
@@ -17,6 +17,10 @@ while exhausting the search budget yields Unknown.  The regime is read from
 ``presentation.units`` and ``spectrum.is_integral``, without the spectrum
 scan; the witness search, exponential in the rank too, refuses the ranks
 past ``spectrum.GENERATOR_CAP`` itself.
+
+The separated dimension is exact and needs no witness: the same helper runs
+once per set of relations that lies inside some face, on the face's nonunit
+columns, and decides which faces hold an unseparated element.
 """
 
 from __future__ import annotations
@@ -24,13 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
+from operator import add, sub
 from typing import Optional
 
 from . import rewrite, spectrum
-from .bitmask import indices
+from .bitmask import indices, word_mask
 from .errors import ZeroBinoid
-from .presentation import Presentation, rees_quotient, units
+from .presentation import Presentation, Relation, units
 from .words import Word
 
 SEPARATED = "Separated"
@@ -151,67 +155,63 @@ def find_positive_grading(p: Presentation) -> Optional[GradingVector]:
     ``p``.
     """
     if "grading" not in p._memo:
-        p._memo["grading"] = _grading_weights(p)
+        rows = [_difference(rel, p.rank) for rel in rewrite.completion(p).live_binomials()]
+        p._memo["grading"] = _positive_kernel(rows, p.rank)
     weights = p._memo["grading"]
     return None if weights is None else GradingVector(weights)
 
 
-def _grading_weights(p: Presentation) -> Optional[tuple[int, ...]]:
-    r = p.rank
-    if r == 0:
+def _difference(rel: Relation, r: int) -> list[int]:
+    """The exponents of lhs - rhs of a binomial relation."""
+    return list(map(sub, rel.lhs.dense(r), rel.rhs.dense(r)))
+
+
+def _positive_kernel(rows: list[list[int]], n: int) -> Optional[tuple[int, ...]]:
+    """Coprime integer w with every w_i >= 1 and rows . w = 0; None if none.
+
+    One LP: maximize t subject to rows . w = 0, w_i >= t, sum(w) = 1.
+    """
+    if n == 0:
         return ()
-    rows = []
-    for rel in rewrite.completion(p).live_binomials():
-        row = [0] * r
-        for i, e in rel.lhs.exps:
-            row[i] += e
-        for i, e in rel.rhs.exps:
-            row[i] -= e
-        if any(row):
-            rows.append(row)
-    # variables: w_1..w_r, slack s_1..s_r, and t = t_plus - t_minus
-    n = 2 * r + 2
-    a = [row + [0] * (r + 2) for row in rows]
-    for i in range(r):
-        cons = [0] * n
-        cons[i] = 1
-        cons[r + i] = -1
-        cons[2 * r] = -1
-        cons[2 * r + 1] = 1
+    rows = [row for row in rows if any(row)]
+    # variables: w_1..w_n, slack s_1..s_n, and t = t_plus - t_minus
+    a = [row + [0] * (n + 2) for row in rows]
+    for i in range(n):  # w_i - s_i - t = 0
+        cons = [0] * (2 * n + 2)
+        cons[i], cons[n + i], cons[2 * n], cons[2 * n + 1] = 1, -1, -1, 1
         a.append(cons)
-    a.append([1] * r + [0] * (r + 2))
+    a.append([1] * n + [0] * (n + 2))
     b = [0] * (len(a) - 1) + [1]
-    c = [0] * (2 * r) + [1, -1]
+    c = [0] * (2 * n) + [1, -1]
     x = _simplex_max(a, b, c)
-    if x is None or x[2 * r] - x[2 * r + 1] <= 0:
+    if x is None or x[2 * n] - x[2 * n + 1] <= 0:
         return None
-    w = x[:r]
+    w = x[:n]
     scale = lcm(*(f.denominator for f in w))
     ints = [f.numerator * (scale // f.denominator) for f in w]
     g = gcd(*ints)
     return tuple(v // g for v in ints)
 
 
-def _witness_scan(
-    p: Presentation, degree_budget: int, first_only: bool
-) -> Optional[list[tuple[rewrite.Vec, rewrite.Vec]]]:
-    """Pairs (f, g) with f = f + g, f a finite normal form, g a nonunit.
+def find_unseparated(
+    p: Presentation, degree_budget: int = DEFAULT_WITNESS_BUDGET
+) -> Optional[tuple[Word, Word]]:
+    """First pair (f, g) with f = f + g, f a finite normal form, g a nonunit.
 
     f runs over the normal forms of degree <= budget in term order, and g
     over the words of degree 1..budget that involve a generator of the
-    maximal ideal, lexicographically within each degree; each f contributes
-    its first g.  With first_only the scan stops at the first pair.  None
-    for the zero binoid, which has no maximal ideal.  The scan is exponential
-    in the rank, so it refuses the ranks the spectrum scan refuses.
+    maximal ideal, lexicographically within each degree, so the returned
+    witness is reproducible.  None for the zero binoid, which has no maximal
+    ideal.  The scan is exponential in the rank, so it refuses the ranks the
+    spectrum scan refuses.
     """
     rs = rewrite.completion(p)
     unit_mask = units(p)
-    if unit_mask is None:
+    # with a grading, f + g = f with f finite is derived through finite words
+    # only, so by live binomials, which keep the degree: deg g = 0, so g is
+    # no nonunit
+    if unit_mask is None or find_positive_grading(p) is not None:
         return None
-    if find_positive_grading(p) is not None:
-        # f + g = f with f finite is derived through finite words only, so by
-        # live binomials, which keep the degree: deg g = 0, so g is no nonunit
-        return []
     spectrum.check_scan_cap(p.rank)
     nonunit = indices(((1 << p.rank) - 1) ^ unit_mask)
     gs = [
@@ -220,29 +220,11 @@ def _witness_scan(
         for v in sorted(rewrite._words_of_degree(p.rank, d))
         if any(v[i] for i in nonunit)
     ]
-    pairs = []
     for f in rewrite._normal_forms(rs, degree_budget):
-        g = next((g for g in gs if rs._reduce(tuple(map(add, f, g))) == f), None)
-        if g is not None:
-            pairs.append((f, g))
-            if first_only:
-                break
-    return pairs
-
-
-def find_unseparated(
-    p: Presentation, degree_budget: int = DEFAULT_WITNESS_BUDGET
-) -> Optional[tuple[Word, Word]]:
-    """First pair (f, g) with f = f + g, f not absorbing, g a nonunit.
-
-    Search order is lexicographic on (deg f, deg g, term order), so the
-    returned witness is reproducible.
-    """
-    pairs = _witness_scan(p, degree_budget, first_only=True)
-    if not pairs:
-        return None
-    f, g = pairs[0]
-    return Word.from_dense(f), Word.from_dense(g)
+        for g in gs:
+            if rs._reduce(tuple(map(add, f, g))) == f:
+                return Word.from_dense(f), Word.from_dense(g)
+    return None
 
 
 def is_separated(
@@ -268,22 +250,38 @@ def is_separated(
     return SeparationReport(UNKNOWN, None, None, applicable)
 
 
-def sepdim(
-    p: Presentation, degree_budget: int = DEFAULT_WITNESS_BUDGET
-) -> tuple[int, bool]:
-    """Dimension of the quotient by the found unseparated classes.
+def sepdim(p: Presentation) -> tuple[int, bool]:
+    """Dimension of V of the separating ideal, the intersection of all nM+.
 
-    The value is exact when the quotient is certifiably separated (then the
-    collected witnesses generate at least the separating ideal); otherwise
-    it is an upper bound for the true separated dimension.
+    A face, the complement of a prime, is unseparated when the lattice of
+    lhs - rhs of the relations inside it holds some g >= 0 that is a
+    nonunit; then g fixes every deep enough word on the face.  By Stiemke's
+    alternative that is when no weights >= 1 on the face's nonunit columns
+    kill those rows, one LP per set of inner relations.  Unseparated faces
+    form an up-set, so V is the set of primes whose face is not unseparated;
+    the value, its longest chain, is exact, so the flag is always True.
+    With a positive grading no face is unseparated: the value is ``dim``.
     """
-    pairs = _witness_scan(p, degree_budget, first_only=False)
-    if pairs is None:
+    unit_mask = units(p)
+    if unit_mask is None:
         raise ZeroBinoid("the zero binoid has no separated dimension")
-    witnesses = [Word.from_dense(f) for f, _ in pairs]
-    over = spectrum.v_set(p, witnesses)
-    sub = spectrum.Spectrum(p, tuple(over))
-    value = max(sub.heights().values()) if over else -1
-    quotient = rees_quotient(p, witnesses) if witnesses else p
-    certified = is_separated(quotient, degree_budget).verdict == SEPARATED
-    return value, certified
+    if find_positive_grading(p) is not None:
+        return spectrum.dim(p), True
+    nonunit = indices(((1 << p.rank) - 1) ^ unit_mask)
+    rows = [
+        (word_mask(rel.lhs) | word_mask(rel.rhs), _difference(rel, p.rank))
+        for rel in rewrite.completion(p).live_binomials()
+    ]
+    separated: dict[tuple[int, ...], bool] = {}  # by the face's inner rows
+    kept = []
+    for q in spectrum.spectrum_of(p).primes:
+        inner = tuple(k for k, (mask, _) in enumerate(rows) if not mask & q.mask)
+        if inner not in separated:
+            face = [rows[k][1] for k in inner]
+            cols = [i for i in nonunit if any(row[i] for row in face)]
+            sub = [[row[i] for i in cols] for row in face]
+            separated[inner] = _positive_kernel(sub, len(cols)) is not None
+        if separated[inner]:
+            kept.append(q)
+    heights = spectrum.Spectrum(p, tuple(kept)).heights()
+    return max(heights.values(), default=-1), True

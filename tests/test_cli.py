@@ -201,8 +201,18 @@ def test_separated_zero_budget_returns():
     # grew from 0
     code, out, _ = _run_bounded("separated", "free(x)/(2x=3x)", "--budget", "0")
     assert code == 0 and out.strip() == "NotSeparated"
+    # sepdim accepts the budget and reads no witness budget at all
     code, out, _ = _run_bounded("sepdim", "free(x)/(2x=3x)", "--budget", "0")
-    assert code == 0 and out.strip() == "1 (upper bound)"
+    assert code == 0 and out.strip() == "0 (certified)"
+
+
+def test_sepdim_on_twelve_ungradable_generators_returns():
+    # the witness scan tried every nonunit word of degree <= 6 on 12
+    # generators against every normal form; now one LP decides the grading
+    # and one the faces that hold the relation
+    free12 = "free(" + ",".join(f"g{i}" for i in range(12)) + ")"
+    code, out, _ = _run_bounded("sepdim", free12 + "/(g0+g1=g0)")
+    assert code == 0 and out == "11 (certified)\n"
 
 
 def test_nf_with_huge_exponents_returns():
@@ -223,7 +233,8 @@ def test_count_points_with_a_large_prime_returns():
 
 
 # One call per verb with its exact stdout and exit code: the --json payload
-# where the verb has one, raw text for DOT and the ring exports.
+# where the verb has one, raw text for DOT and the ring exports.  A verb's
+# later rows get the ids verb-2, verb-3, ...
 GOLDEN = [
     (
         ['spec', 'free(x,y)/(x+y=2x)', '--json'],
@@ -359,6 +370,16 @@ GOLDEN = [
         (
             '{"command": "sepdim", "input": "free(x,y,z)/(x+y=y, x+z=z)", '
             '"result": {"certified": true, "value": 1}}\n'
+        ),
+    ),
+    (
+        # ungradable; the quotient by the scan's one witness x+2y had no
+        # grading either, so this printed 0 (upper bound)
+        ['sepdim', 'free(x,y)/(2x=x+y, x+y=3y)', '--json'],
+        0,
+        (
+            '{"command": "sepdim", "input": "free(x,y)/(2x=x+y, x+y=3y)", '
+            '"result": {"certified": true, "value": 0}}\n'
         ),
     ),
     (
@@ -503,10 +524,16 @@ GOLDEN = [
 ]
 
 
+_GOLDEN_NAMES = [argv[0] + ("-dot" if "--dot" in argv else "") for argv, _, _ in GOLDEN]
+
+
 @pytest.mark.parametrize(
     "argv, code, stdout",
     GOLDEN,
-    ids=[argv[0] + ("-dot" if "--dot" in argv else "") for argv, _, _ in GOLDEN],
+    ids=[
+        name + (f"-{_GOLDEN_NAMES[:k].count(name) + 1}" if name in _GOLDEN_NAMES[:k] else "")
+        for k, name in enumerate(_GOLDEN_NAMES)
+    ],
 )
 def test_verb_golden(argv, code, stdout):
     assert run(*argv)[:2] == (code, stdout)
@@ -647,12 +674,12 @@ def test_each_presentation_is_completed_and_scanned_at_most_once(monkeypatch):
     counted(rewrite, "complete")
     counted(spectrum, "compute_spectrum")
     # (argv, (complete calls, compute_spectrum calls)); units and
-    # integrality need no scan, so only sepdim's prime count and the
-    # simplicial recognizer scan
+    # integrality need no scan, so only sepdim's faces and the simplicial
+    # recognizer scan
     calls = [
         (["separated", "free(x)/(2x=3x)", "--budget", "0"], (1, 0)),
-        (["sepdim", "free(x)/(2x=3x)"], (2, 1)),
-        (["sepdim", "free(x,y)/(x+y=2y, 3x=2x)"], (2, 1)),
+        (["sepdim", "free(x)/(2x=3x)"], (1, 1)),
+        (["sepdim", "free(x,y)/(x+y=2y, 3x=2x)"], (1, 1)),
         (["hilbert", "3", "free(x,y)/(x+y=2y)"], (1, 0)),
         (["simplicial:recognize", "free(x,y,z)/(x+y=inf)"], (1, 1)),
     ]

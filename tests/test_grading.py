@@ -219,6 +219,30 @@ def test_sepdim_never_exceeds_dim():
         assert value <= spectrum.dim(p)
 
 
+def test_sepdim_drops_the_unit_columns():
+    # x + (x+v) = x, so the face {u,v,x} is unseparated; the face {u,v} is
+    # not, although no weights >= 1 on u and v kill u + v
+    p = parse_presentation("free(u,v,x)/(u+v=0, u+x=2x)")
+    assert sepdim(p) == (0, True)
+    assert spectrum.dim(p) == 1
+    # x + u = x is no witness, u being a unit: only the faces with y are
+    # unseparated
+    p = parse_presentation("free(u,v,x,y)/(u+v=0, u+x=x, 2y=3y)")
+    assert sepdim(p) == (1, True)
+    assert spectrum.dim(p) == 2
+
+
+def test_faces_with_the_same_inner_relations_share_one_lp(monkeypatch):
+    # 3072 primes; one LP decides the grading and one every face holding
+    # g0+g1=g0, while a face with no inner relation needs none
+    calls = []
+    solve = grading._simplex_max
+    monkeypatch.setattr(grading, "_simplex_max", lambda *lp: calls.append(1) or solve(*lp))
+    names = ",".join(f"g{i}" for i in range(12))
+    assert sepdim(parse_presentation(f"free({names})/(g0+g1=g0)")) == (11, True)
+    assert len(calls) == 2
+
+
 def test_sepdim_zero_binoid_raises():
     with pytest.raises(ZeroBinoid):
         sepdim(rees_quotient(free("x"), [Word.zero()]))
