@@ -91,15 +91,16 @@ def _pres(args) -> Presentation:
     return parse_presentation(_read_arg(args.presentation))
 
 
-def _primes(p: Presentation, key: str, primes):
+def _primes(args, p: Presentation, key: str, primes):
     names = [[p.generators[i] for i in q.gens] for q in primes]
-    return p.pretty(), {key: names}, _braces(names)
+    # --json prints no human lines, so they are not built for it
+    return p.pretty(), {key: names}, None if args.json else _braces(names)
 
 
 def _spec(args):
     p = _pres(args)
     s = spectrum.compute_spectrum(p, force=args.force)
-    return dot.spectrum_dot(s) if args.dot else _primes(p, "primes", s.primes)
+    return dot.spectrum_dot(s) if args.dot else _primes(args, p, "primes", s.primes)
 
 
 def _dim(args):
@@ -120,7 +121,7 @@ def _minimal_primes(args):
         mins = spectrum.minimal_primes_over(p, [parse_term(w, p) for w in args.over.split(",")])
     else:
         mins = spectrum.minimal_primes(p)
-    return _primes(p, "minimal_primes", mins)
+    return _primes(args, p, "minimal_primes", mins)
 
 
 def _predicates(args):

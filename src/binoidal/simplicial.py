@@ -15,9 +15,15 @@ from typing import Iterable, Optional, Sequence
 
 from . import rewrite, spectrum
 from .algebra import ring_text
-from .bitmask import bits, indices, mask_of, submasks, word_mask
+from .bitmask import bits, indices, mask_of, submasks
 from .errors import PresentationError, TooManyGenerators
-from .presentation import Presentation, _disjoint_names, _fresh, make_presentation
+from .presentation import (
+    Presentation,
+    _disjoint_names,
+    _fresh,
+    make_presentation,
+    units,
+)
 from .words import Word, is_identifier
 
 VERTEX_CAP = 24
@@ -202,32 +208,29 @@ def recognize_simplicial_report(
     """Recognition with the failed axiom named on rejection.
 
     Semifreeness on the given generators means the reduced rewrite system is
-    monomial-only; reducedness is the spectrum predicate.  Generators that
+    monomial-only, so the binoid is free modulo the monomial ideal spanned by
+    the rules' left sides, which are its minimal generators.  A monomial
+    ideal is radical exactly when its minimal generators are squarefree
+    (Herzog and Hibi, *Monomial Ideals*, ch. 1), and then the faces are the
+    subsets containing no left side, whose maximal members are the
+    complements of the minimal primes (Stanley-Reisner).  Generators that
     collapse to the absorbing element are dropped from the vertex set.
     """
     rs = rewrite.completion(p)
     if not rs.is_monomial_only():
         return None, NOT_SEMIFREE
-    if not spectrum.predicates(p).reduced:
+    if units(p) is None:  # the zero binoid
         return None, NOT_REDUCED
-    if p.rank > VERTEX_CAP:
-        raise TooManyGenerators(
-            f"face reconstruction beyond {VERTEX_CAP} generators refused"
-        )
-    live = indices(((1 << p.rank) - 1) ^ mask_of(rs.absorbed_generators()))
+    spectrum.check_scan_cap(p.rank)
+    if any(e > 1 for rule in rs.rules for _, e in rule.lhs.exps):
+        return None, NOT_REDUCED
+    full = (1 << p.rank) - 1
+    live = indices(full ^ mask_of(rs.absorbed_generators()))
     names = [p.generators[i] for i in live]
-    # every rule is lhs -> inf and no element is nilpotent, so a word is
-    # absorbing exactly when its support is, and a squarefree word is
-    # absorbing exactly when it contains the support of some lhs
-    killers = [word_mask(rule.lhs) for rule in rs.rules]
-    faces = {
-        c for c in submasks(mask_of(live)) if not any(k & c == k for k in killers)
-    }
-    live_bits = [1 << i for i in live]
-    maximal = [
-        f for f in faces if not any(f | b in faces for b in live_bits if not f & b)
+    facet_names = [
+        [p.generators[i] for i in indices(full ^ m.mask)]
+        for m in spectrum.minimal_primes(p)
     ]
-    facet_names = [[p.generators[i] for i in indices(f)] for f in maximal]
     return from_facets(names, facet_names), None
 
 

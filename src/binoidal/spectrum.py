@@ -5,19 +5,33 @@ of the generators; a subset qualifies exactly when its indicator assignment
 respects every defining relation.  Ideal membership of a word is the
 support intersection test through the indicator homomorphism.
 
-Inside this module a generator subset is an ``int`` bitmask, bit ``i`` set
-when generator ``i`` belongs to it.  Costs, for ``r`` generators:
+A generator subset is an ``int`` bitmask, bit ``i`` set when generator
+``i`` belongs to it.  A family of subsets of ``r`` generators is one
+``int`` of 2^r bits, bit ``x`` set when subset ``x`` is a member, so one
+big-int operation acts on all 2^r subsets at once.  ``has[j]``, the family
+of subsets with bit ``j``, is built by doubling a block of 2^j zeros and
+2^j ones.  The costs, for ``r`` generators:
 
-- scan: each relation is compiled once to ``(lhs_mask, rhs_mask | None)``;
-  a subset is admissible when it meets every monomial left-hand side and
-  meets both sides of each binomial relation or neither, two ANDs per
-  relation, so the scan costs O(2^r * #relations).  It refuses more than
-  ``GENERATOR_CAP`` = 24 generators unless forced (``spec``/``dim --force``
-  on the CLI);
-- invariants: heights and prime dimensions are longest-chain DPs over all
-  2^r subsets, in sum-over-subsets and sum-over-supersets order, in O(2^r * r)
-  time and a ``bytearray`` of 2^r bytes (a chain has at most r + 1 members);
-- covers, minimal primes and the Zariski sets are mask subset tests.
+- scan: the primes are the AND, over the relations, of the family meeting
+  a monomial left side, or of the family meeting both sides of a binomial
+  relation or neither: O(r) big-int operations per relation, once per
+  presentation;
+- closures: the subsets strictly above a family are the one-bit extensions
+  ``(F & ~has[j]) << 2^j``, closed upwards in r more steps; strictly below
+  is the same with right shifts: 2r big-int operations each;
+- invariants: the minimal primes are the primes not strictly above a
+  prime.  Chain layer k holds the primes that top a chain of k + 1 primes
+  (the primes strictly above layer k - 1), so ``dim`` counts the layers,
+  the F-vector counts the layers taken downwards, and heights and prime
+  dimensions read each prime's last layer: at most r + 1 layers;
+- memory: the r tables ``has[j]`` and a few families of 2^r bits, 48 MB of
+  tables at r = 24.  The scan refuses more than ``GENERATOR_CAP`` = 24
+  generators unless forced (``spec``/``dim --force`` on the CLI);
+- ``dim``, ``f_vector``, ``minimal_primes`` and ``predicates`` build no
+  ``PrimeIdeal`` per prime, nor does ``simplicial.recognize_simplicial``.
+  ``compute_spectrum`` reads the ordered primes off the family's binary
+  digits; covers, the booleanization and the Zariski sets compare the
+  primes as masks.
 
 Admissible subsets are closed under union, so a nonempty spectrum has a
 largest prime, and the primes inside any subset form the down-set of one
@@ -28,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import rewrite
 from .bitmask import indices, mask_of, union, word_mask
@@ -55,8 +69,9 @@ class PrimeIdeal:
     def _make(cls, gens: tuple[int, ...], mask: int) -> "PrimeIdeal":
         """Trusted constructor: sorted distinct gens and their mask."""
         q = object.__new__(cls)
-        object.__setattr__(q, "gens", gens)
-        object.__setattr__(q, "mask", mask)
+        fields = q.__dict__  # what object.__setattr__ writes, without two calls
+        fields["gens"] = gens
+        fields["mask"] = mask
         return q
 
     def __hash__(self) -> int:
@@ -93,6 +108,7 @@ def _compile(relations: Sequence[Relation]) -> Compiled:
 
 
 def _admits(mask: int, compiled: Compiled) -> bool:
+    """Whether one generator subset is a prime."""
     for lhs, rhs in compiled:
         if rhs is None:
             if not lhs & mask:
@@ -102,27 +118,96 @@ def _admits(mask: int, compiled: Compiled) -> bool:
     return True
 
 
-def _longest_chains(masks: Iterable[int], r: int) -> bytearray:
-    """Entry s: the most members of the family in one chain of subsets of s.
+# Families of subsets.  The tables and closures below do not care which bit
+# of a subset stands for which generator.  The scan indexes subsets by their
+# code, which has bit r - 1 - i for generator i: the r binary digits of a
+# code, most significant first, are its subset's indicator vector, so codes
+# of equal weight in descending order list their subsets lexicographically.
 
-    A sum-over-subsets DP: subsets precede s in ascending order, and the
-    longest chain inside s either ends at s or lies inside some s minus one
-    bit.  O(2^r * r) time, 2^r bytes.
+
+def _cube(r: int) -> list[int]:
+    """``has[j]``: the subsets of r elements with bit j, as a 2^r-bit family."""
+    n = 1 << r
+    has = []
+    for j in range(r):
+        w = 1 << j
+        block, span = ((1 << w) - 1) << w, 2 * w  # w zeros, then w ones
+        while span < n:
+            block |= block << span
+            span *= 2
+        has.append(block)
+    return has
+
+
+def _step(family: int, h: int, j: int, up: bool) -> int:
+    """The members without bit j with it added, or those with it removed."""
+    # f ^ (f & h) is f & ~h without the slower negative int ~h
+    return (family ^ (family & h)) << (1 << j) if up else (family & h) >> (1 << j)
+
+
+def _strictly(family: int, has: Sequence[int], up: bool) -> int:
+    """The subsets strictly above (or below) some member of the family."""
+    out = 0
+    for j, h in enumerate(has):
+        out |= _step(family, h, j, up)
+    for j, h in enumerate(has):
+        out |= _step(out, h, j, up)
+    return out
+
+
+def _layers(family: int, has: Sequence[int], up: bool = True) -> Iterator[int]:
+    """Layer k: the members that top (or, with ``up`` false, bottom) a chain
+    of k + 1 members.  The layers shrink, and there is one per chain length."""
+    layer = family
+    while layer:
+        yield layer
+        layer = family & _strictly(layer, has, up)
+
+
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _members(family: int) -> Iterator[int]:
+    """The members of a family, descending, read off its binary digits."""
+    digits = bin(family)[2:].encode().translate(_DIGITS)
+    return itertools.compress(itertools.count(len(digits) - 1, -1), digits)
+
+
+def _decoder(first: int, n: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Gens and mask of each n-bit code over the generators first..first+n-1."""
+    gens: list[tuple[int, ...]] = [()]
+    masks = [0]
+    for i in reversed(range(first, first + n)):  # code bit 0 first
+        gens += [(i,) + g for g in gens]
+        masks += [m | 1 << i for m in masks]
+    return gens, masks
+
+
+def _primes_of(codes: int, r: int) -> list[PrimeIdeal]:
+    """The members of a family of codes, by cardinality then lexicographic.
+
+    A code splits into a high and a low half, each decoded by table.
     """
-    table = bytearray(1 << r)
+    low = r // 2
+    high_gens, high_masks = _decoder(0, r - low)
+    low_gens, low_masks = _decoder(r - low, low)
+    cut = (1 << low) - 1
+    make = PrimeIdeal._make
+    return [
+        make(
+            high_gens[c >> low] + low_gens[c & cut],
+            high_masks[c >> low] | low_masks[c & cut],
+        )
+        for c in sorted(_members(codes), key=int.bit_count)
+    ]
+
+
+def _family(masks: Iterable[int], r: int) -> int:
+    """The family with the given members."""
+    out = bytearray(max(1, (1 << r) >> 3))
     for m in masks:
-        table[m] = 1
-    for s in range(1, 1 << r):
-        best = 0
-        rest = s
-        while rest:
-            low = rest & -rest
-            v = table[s ^ low]
-            if v > best:
-                best = v
-            rest ^= low
-        table[s] += best
-    return table
+        out[m >> 3] |= 1 << (m & 7)
+    return int.from_bytes(out, "little")
 
 
 def _minimal(primes: Sequence[PrimeIdeal]) -> list[PrimeIdeal]:
@@ -158,18 +243,21 @@ class Spectrum:
             raise ZeroBinoid("the zero binoid has no maximal ideal")
         return PrimeIdeal(indices(union(q.mask for q in self.primes)))
 
-    def heights(self) -> dict[PrimeIdeal, int]:
+    def _last_layers(self, up: bool) -> dict[PrimeIdeal, int]:
+        """Each prime's last chain layer, read off the layers' digits."""
         r = self.presentation.rank
-        below = _longest_chains((q.mask for q in self.primes), r)
-        return {q: below[q.mask] - 1 for q in self.primes}
+        family = _family((q.mask for q in self.primes), r)
+        layers = list(_layers(family, _cube(r), up))
+        last: dict[int, int] = {}
+        for k, (layer, deeper) in enumerate(zip(layers, layers[1:] + [0])):
+            last.update(dict.fromkeys(_members(layer ^ deeper), k))
+        return {q: last[q.mask] for q in self.primes}
+
+    def heights(self) -> dict[PrimeIdeal, int]:
+        return self._last_layers(up=True)
 
     def prime_dims(self) -> dict[PrimeIdeal, int]:
-        # chains above a prime are chains below its complement in the
-        # complemented family: the sum-over-supersets DP
-        r = self.presentation.rank
-        full = (1 << r) - 1
-        above = _longest_chains((full ^ q.mask for q in self.primes), r)
-        return {q: above[full ^ q.mask] - 1 for q in self.primes}
+        return self._last_layers(up=False)
 
     def height(self, p: PrimeIdeal) -> int:
         if p not in self.primes:
@@ -202,20 +290,36 @@ def check_scan_cap(r: int) -> None:
         )
 
 
+def _scan(p: Presentation) -> int:
+    """The primes of p as a family of codes."""
+    r = p.rank
+    has = _cube(r)
+
+    def meets(w: Word) -> int:
+        return union(has[r - 1 - i] for i, _ in w.exps)
+
+    table = (1 << (1 << r)) - 1
+    for rel in p.relations:
+        lhs = meets(rel.lhs)
+        if rel.is_monomial:
+            table &= lhs
+        else:
+            table ^= table & (lhs ^ meets(rel.rhs))  # meets one side only
+    return table
+
+
+def _table(p: Presentation, force: bool = False) -> int:
+    """``_scan(p)``, computed once per presentation."""
+    if not force:
+        check_scan_cap(p.rank)
+    if "table" not in p._memo:
+        p._memo["table"] = _scan(p)
+    return p._memo["table"]
+
+
 def compute_spectrum(p: Presentation, force: bool = False) -> Spectrum:
     """All admissible generator subsets, by cardinality then lexicographic."""
-    r = p.rank
-    if not force:
-        check_scan_cap(r)
-    compiled = _compile(p.relations)
-    bits = [1 << i for i in range(r)]
-    primes = []
-    for size in range(r + 1):
-        for gens in itertools.combinations(range(r), size):
-            mask = sum(map(bits.__getitem__, gens))
-            if _admits(mask, compiled):
-                primes.append(PrimeIdeal._make(gens, mask))
-    return Spectrum(p, tuple(primes))
+    return Spectrum(p, tuple(_primes_of(_table(p, force), p.rank)))
 
 
 def spectrum_of(p: Presentation) -> Spectrum:
@@ -229,10 +333,7 @@ def spectrum_of(p: Presentation) -> Spectrum:
 
 def dim(p: Presentation, force: bool = False) -> int:
     """Length of the longest prime chain; -1 for the zero binoid."""
-    s = compute_spectrum(p, force=True) if force else spectrum_of(p)
-    if s.is_empty:
-        return -1
-    return max(s.heights().values())
+    return sum(1 for _ in _layers(_table(p, force), _cube(p.rank))) - 1
 
 
 @dataclass(frozen=True)
@@ -242,22 +343,19 @@ class FVector:
 
 def f_vector(p: Presentation) -> FVector:
     """Entry i counts the primes of prime-dimension i."""
-    s = spectrum_of(p)
-    if s.is_empty:
+    sizes = [d.bit_count() for d in _layers(_table(p), _cube(p.rank), up=False)]
+    if not sizes:
         raise ZeroBinoid("the zero binoid has no F-vector")
-    dims = s.prime_dims()
-    d = max(dims.values())
-    counts = [0] * (d + 1)
-    for value in dims.values():
-        counts[value] += 1
-    return FVector(tuple(counts))
+    return FVector(tuple(a - b for a, b in zip(sizes, sizes[1:] + [0])))
 
 
 def minimal_primes(p: Presentation) -> list[PrimeIdeal]:
-    s = spectrum_of(p)
-    if s.is_empty:
+    """Inclusion-minimal primes, in spectrum order."""
+    table = _table(p)
+    minimal = table ^ (table & _strictly(table, _cube(p.rank), up=True))
+    if not minimal:
         raise ZeroBinoid("the zero binoid has no minimal primes")
-    return _minimal(s.primes)
+    return _primes_of(minimal, p.rank)
 
 
 def v_set(p: Presentation, words: Iterable[Word]) -> list[PrimeIdeal]:
@@ -358,19 +456,19 @@ def predicates(p: Presentation) -> Predicates:
 
     Units come from ``presentation.units`` and integrality from
     ``is_integral``, neither of which scans.  Only reducedness needs the
-    spectrum: every minimal transversal of the minimal-prime generator sets
-    must be absorbing.  Every prime contains the absorbed generators and
+    minimal primes: every minimal transversal of their generator sets must
+    be absorbing.  Every prime contains the absorbed generators and
     lies inside M+, so an integral binoid whose units and absorbed
     generators cover all generators has one prime: it is a binoid group.
     """
     unit_mask = units(p)
     if unit_mask is None:
         return Predicates(False, False, (), False, False, False)
-    s = spectrum_of(p)  # before completion, so the scan cap is refused first
+    # before completion, so the scan cap is refused first
+    minimal = minimal_primes(p)
     rs = rewrite.completion(p)
     integral = is_integral(p)
     absorbed = mask_of(rs.absorbed_generators())
-    minimal = _minimal(s.primes)
     reduced = True
     for t in minimal_transversals([frozenset(m.gens) for m in minimal]):
         w = Word.zero()

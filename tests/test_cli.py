@@ -1,5 +1,6 @@
 import io
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -213,6 +214,20 @@ def test_sepdim_on_twelve_ungradable_generators_returns():
     free12 = "free(" + ",".join(f"g{i}" for i in range(12)) + ")"
     code, out, _ = _run_bounded("sepdim", free12 + "/(g0+g1=g0)")
     assert code == 0 and out == "11 (certified)\n"
+
+
+def test_poset_verbs_on_twenty_free_generators_return():
+    # one longest-chain DP byte and one PrimeIdeal per subset took 5 s and
+    # 340 MB here; the chain layers take a few big-int operations each
+    free20 = "free(" + ",".join(f"g{i}" for i in range(20)) + ")"
+    assert _run_bounded("dim", free20, seconds=3) == (0, "20\n", "")
+    f = ", ".join(str(math.comb(20, i)) for i in range(21))
+    assert _run_bounded("fvector", free20, seconds=3) == (0, f"({f})\n", "")
+    predicates = (
+        "integral: True\npositive: True\nunits: []\nreduced: True\n"
+        "binoid_group: False\nboolean: False\n"
+    )
+    assert _run_bounded("predicates", free20, seconds=3) == (0, predicates, "")
 
 
 def test_nf_with_huge_exponents_returns():
@@ -660,7 +675,7 @@ def test_overlong_coefficient_is_a_positioned_parse_error():
 def test_each_presentation_is_completed_and_scanned_at_most_once(monkeypatch):
     from binoidal import rewrite, spectrum
 
-    seen = {"complete": [], "compute_spectrum": []}
+    seen = {"complete": [], "_scan": []}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -672,10 +687,10 @@ def test_each_presentation_is_completed_and_scanned_at_most_once(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(rewrite, "complete")
-    counted(spectrum, "compute_spectrum")
-    # (argv, (complete calls, compute_spectrum calls)); units and
-    # integrality need no scan, so only sepdim's faces and the simplicial
-    # recognizer scan
+    counted(spectrum, "_scan")
+    # (argv, (complete calls, _scan calls)); units and integrality need no
+    # scan, so only sepdim's faces and the simplicial recognizer's minimal
+    # primes scan
     calls = [
         (["separated", "free(x)/(2x=3x)", "--budget", "0"], (1, 0)),
         (["sepdim", "free(x)/(2x=3x)"], (1, 1)),
@@ -767,7 +782,7 @@ def test_sepdim_of_a_gradable_presentation_analyses_it_once(monkeypatch):
     # reads the memo of p instead of analysing a copy of it
     from binoidal import grading, rewrite, spectrum
 
-    calls = {"complete": 0, "compute_spectrum": 0, "_simplex_max": 0, "_normal_forms": 0}
+    calls = {"complete": 0, "_scan": 0, "_simplex_max": 0, "_normal_forms": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -779,11 +794,11 @@ def test_sepdim_of_a_gradable_presentation_analyses_it_once(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(rewrite, "complete")
-    counted(spectrum, "compute_spectrum")
+    counted(spectrum, "_scan")
     counted(grading, "_simplex_max")
     counted(rewrite, "_normal_forms")
     assert run("sepdim", "free(x,y,z)/(x+y=2z)") == (0, "2 (certified)\n", "")
-    assert calls == {"complete": 1, "compute_spectrum": 1, "_simplex_max": 1, "_normal_forms": 0}
+    assert calls == {"complete": 1, "_scan": 1, "_simplex_max": 1, "_normal_forms": 0}
 
 
 def test_options_before_the_verb_are_named():

@@ -217,3 +217,72 @@ def test_hilbert_samuel_requires_positive_grading():
         rewrite.hilbert_samuel(parse_presentation("free(x)/(3x=x)"), 3)
     with pytest.raises(NotPositive):
         rewrite.hilbert_samuel(parse_presentation("free(x,y)/(x+y=0)"), 3)
+
+
+# Absorbing rules whose derivations climb far above the degree of the
+# relations.  Each derivation is written out word by word; ``_one_step``
+# checks every step by integer arithmetic alone, so the expected rule rests
+# on no part of the library.
+
+
+def _vector(text, names):
+    v = [0] * len(names)
+    for part in text.split("+"):
+        name = part.lstrip("0123456789")
+        v[names.index(name)] += int(part[: len(part) - len(name)] or 1)
+    return v
+
+
+def _one_step(u, v, relations):
+    """v arises from u by replacing one side of one relation by the other."""
+    for lhs, rhs in relations:
+        for a, b in ((lhs, rhs), (rhs, lhs)):
+            rest = [x - y for x, y in zip(u, a)]
+            if min(rest) >= 0 and [x + y for x, y in zip(rest, b)] == v:
+                return True
+    return False
+
+
+def _assert_derivation(names, relations, absorbing, steps):
+    finite = [(_vector(l, names), _vector(r, names)) for l, r in relations]
+    words = [_vector(w, names) for w in steps]
+    for u, v in zip(words, words[1:]):
+        assert _one_step(u, v, finite), (u, v)
+    # the last word contains the left side of an absorbing relation
+    assert all(x >= y for x, y in zip(words[-1], _vector(absorbing, names)))
+
+
+def test_gb_absorbs_a_along_a_29_word_derivation():
+    names = ["a", "b", "c", "d"]
+    # 2d -> a+b -> 3d+b adds d+b; 6d -> 2a -> 2b+c makes c, and 3c = inf
+    _assert_derivation(
+        names,
+        [("3d", "a"), ("2a", "2b+c"), ("a+b", "2d")],
+        "3c",
+        [
+            "a", "3d", "a+b+d", "b+4d", "a+2b+2d", "2b+5d", "a+3b+3d",
+            "3b+6d", "a+4b+4d", "4b+7d", "a+5b+5d", "5b+8d", "a+6b+6d",
+            "6b+9d", "a+7b+7d", "7b+10d", "a+8b+8d", "8b+11d", "a+9b+9d",
+            "9b+12d", "a+10b+10d", "2a+11b+8d", "13b+c+8d", "a+14b+c+6d",
+            "2a+15b+c+4d", "17b+2c+4d", "a+18b+2c+2d", "2a+19b+2c", "21b+3c",
+        ],
+    )
+    p = parse_presentation("free(a,b,c,d)/(3d=a, 2a=2b+c, 3c=inf, a+b=2d)")
+    assert "a -> inf" in [r.pretty(p.generators) for r in rewrite.complete(p).rules]
+
+
+def test_gb_absorbs_d_along_a_13_word_derivation():
+    names = ["a", "b", "c", "d", "e"]
+    # d -> a+d+e adds a+e; 3e -> 2a+c makes c, and 3c = inf
+    _assert_derivation(
+        names,
+        [("a+2b", "3c"), ("3e", "2a+c"), ("d", "a+d+e")],
+        "3c",
+        [
+            "d", "a+d+e", "2a+d+2e", "3a+d+3e", "5a+c+d", "6a+c+d+e",
+            "7a+c+d+2e", "8a+c+d+3e", "10a+2c+d", "11a+2c+d+e",
+            "12a+2c+d+2e", "13a+2c+d+3e", "15a+3c+d",
+        ],
+    )
+    p = parse_presentation("free(a,b,c,d,e)/(a+2b=3c, 3e=2a+c, 3c=inf, d=a+d+e)")
+    assert "d -> inf" in [r.pretty(p.generators) for r in rewrite.complete(p).rules]

@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -9,15 +10,21 @@ from binoidal import rewrite, simplicial, spectrum
 from binoidal.parser import parse_presentation
 from binoidal.presentation import free, make_presentation, product, units
 from binoidal.simplicial import from_facets, simplicial_binoid
+from binoidal.bitmask import indices
+from binoidal.errors import ZeroBinoid
 from binoidal.words import Word
 from tests_support import (
     oracle_admissible,
     oracle_booleanize,
     oracle_covers,
     oracle_heights,
+    oracle_longest_chains,
     oracle_minimal,
     oracle_minimal_nonfaces,
     oracle_prime_dims,
+    oracle_recognize,
+    oracle_reduced,
+    oracle_scan,
     oracle_spectrum,
     random_presentation,
 )
@@ -59,6 +66,67 @@ def complexes(draw, max_vertices=7):
     facets += [frozenset([v]) for v in range(n) if v not in covered]
     names = [f"v{i}" for i in range(n)]
     return from_facets(names, [[names[i] for i in f] for f in facets])
+
+
+@st.composite
+def relation_mixes(draw, max_rank=7):
+    """Monomial, binomial, unit (w = 0) and zero (0 = inf) relations; one
+    draw in three is monomial only, so the recognizer gets past semifree."""
+    rank = draw(st.integers(1, max_rank))
+
+    def word(min_size=0):
+        exps = st.tuples(st.integers(0, rank - 1), st.integers(1, 2))
+        return Word(draw(st.lists(exps, min_size=min_size, max_size=3)))
+
+    monomial_only = draw(st.integers(0, 2)) == 0
+    rels = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = 0 if monomial_only else draw(st.integers(0, 9))
+        if kind == 9:
+            rels.append((Word.zero(), Word.inf()))
+        elif kind == 8:
+            rels.append((word(min_size=1), Word.zero()))
+        elif kind < 4:
+            rels.append((word(min_size=1), Word.inf()))
+        else:
+            lhs, rhs = word(), word()
+            if lhs != rhs:
+                rels.append((lhs, rhs))
+    return make_presentation([f"g{i}" for i in range(rank)], rels)
+
+
+@settings(SETTINGS, max_examples=300)
+@given(relation_mixes())
+@example(parse_presentation("free(x,y,z)/(x+y=inf, 2z=inf)"))
+@example(parse_presentation("free(x,y)/(0=inf)"))
+@example(parse_presentation("free(x,y)/(x+y=0)"))
+@example(parse_presentation("free(x,y,z)/(x=inf, y+z=inf)"))
+def test_family_kernel_matches_the_per_subset_oracles(p):
+    r, full = p.rank, (1 << p.rank) - 1
+    masks = oracle_scan(p)
+    s = spectrum.compute_spectrum(p)
+    assert [q.mask for q in s.primes] == masks
+    assert [q.gens for q in s.primes] == [indices(m) for m in masks]
+    below = oracle_longest_chains(masks, r)
+    above = oracle_longest_chains([full ^ m for m in masks], r)
+    heights = {m: below[m] - 1 for m in masks}
+    assert {q.mask: h for q, h in s.heights().items()} == heights
+    dims = {m: above[full ^ m] - 1 for m in masks}
+    assert {q.mask: d for q, d in s.prime_dims().items()} == dims
+    assert spectrum.dim(p) == max((below[m] for m in masks), default=0) - 1
+    if masks:
+        top = max(dims.values())
+        counts = tuple(list(dims.values()).count(i) for i in range(top + 1))
+        assert spectrum.f_vector(p).entries == counts
+        minimal = [m for m in masks if not any(o & m == o != m for o in masks)]
+        assert [q.mask for q in spectrum.minimal_primes(p)] == minimal
+    else:
+        with pytest.raises(ZeroBinoid):
+            spectrum.f_vector(p)
+        with pytest.raises(ZeroBinoid):
+            spectrum.minimal_primes(p)
+    assert spectrum.predicates(p).reduced == oracle_reduced(p)
+    assert simplicial.recognize_simplicial_report(p) == oracle_recognize(p)
 
 
 def gens_of(primes):

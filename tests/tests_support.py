@@ -4,7 +4,8 @@ import itertools
 from fractions import Fraction
 from typing import Optional
 
-from binoidal import grading, rewrite, spectrum
+from binoidal import grading, rewrite, simplicial, spectrum
+from binoidal.bitmask import bits, indices, mask_of, submasks, word_mask
 from binoidal.errors import (
     IsInfinity,
     NoPositiveGrading,
@@ -172,6 +173,81 @@ def oracle_covers(primes):
 
 def oracle_minimal(primes):
     return [p for p in primes if not any(_below(q, p) for q in primes)]
+
+
+# The per-subset scan and the longest-chain DP that the family kernel in
+# binoidal.spectrum replaced: one admissibility test and one byte per subset.
+
+
+def oracle_scan(p):
+    """Masks of the admissible subsets, by cardinality then lexicographic."""
+    compiled = [
+        (word_mask(rel.lhs), None if rel.is_monomial else word_mask(rel.rhs))
+        for rel in p.relations
+    ]
+    out = []
+    for size in range(p.rank + 1):
+        for gens in itertools.combinations(range(p.rank), size):
+            mask = sum(1 << i for i in gens)
+            if all(
+                lhs & mask if rhs is None else bool(lhs & mask) == bool(rhs & mask)
+                for lhs, rhs in compiled
+            ):
+                out.append(mask)
+    return out
+
+
+def oracle_longest_chains(masks, r):
+    """Entry s: the most members of the family in one chain of subsets of s.
+
+    A sum-over-subsets DP: subsets precede s in ascending order, and the
+    longest chain inside s either ends at s or lies inside some s minus one
+    bit.
+    """
+    table = bytearray(1 << r)
+    for m in masks:
+        table[m] = 1
+    for s in range(1, 1 << r):
+        table[s] += max((table[s ^ low] for low in bits(s)), default=0)
+    return table
+
+
+def oracle_reduced(p):
+    """Every minimal transversal of the minimal primes is absorbing."""
+    masks = oracle_scan(p)
+    if not masks:
+        return False  # the zero binoid
+    rs = rewrite.completion(p)
+    minimal = [m for m in masks if not any(o & m == o != m for o in masks)]
+    for t in spectrum.minimal_transversals([frozenset(indices(m)) for m in minimal]):
+        w = Word.zero()
+        for i in sorted(t):
+            w = w + Word.generator(i)
+        if not rs.normal_form(w).is_inf:
+            return False
+    return True
+
+
+def oracle_recognize(p):
+    """Semifree by the rules, reduced by ``oracle_reduced``, faces by a
+    loop over all subsets of the live generators."""
+    rs = rewrite.completion(p)
+    if not rs.is_monomial_only():
+        return None, simplicial.NOT_SEMIFREE
+    if not oracle_reduced(p):
+        return None, simplicial.NOT_REDUCED
+    live = indices(((1 << p.rank) - 1) ^ mask_of(rs.absorbed_generators()))
+    killers = [word_mask(rule.lhs) for rule in rs.rules]
+    faces = {
+        c for c in submasks(mask_of(live)) if not any(k & c == k for k in killers)
+    }
+    maximal = [
+        f for f in faces if not any(f | 1 << i in faces for i in live if not f >> i & 1)
+    ]
+    return simplicial.from_facets(
+        [p.generators[i] for i in live],
+        [[p.generators[i] for i in indices(f)] for f in maximal],
+    ), None
 
 
 def oracle_booleanize(p):
