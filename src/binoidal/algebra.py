@@ -154,7 +154,7 @@ def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int) -> AbelianGroup
 
 def diff_group_at(p: Presentation, prime: spectrum.PrimeIdeal) -> AbelianGroupData:
     """Difference group of the cancellative quotient away from the prime."""
-    if not spectrum._admits(prime.mask, spectrum._compile(p.relations)):
+    if not spectrum._admits(prime.mask, p.relations):
         raise ValueError("prime is not admissible for this presentation")
     killed = set(prime.gens)
     kept = [i for i in range(p.rank) if i not in killed]
@@ -242,7 +242,7 @@ def count_points(p: Presentation, q: int) -> PointCount:
     """
     if not _is_prime_power(q):
         raise ValueError(f"{q} is not a prime power")
-    s = spectrum.spectrum_of(p)
+    s = spectrum.compute_spectrum(p)
     per = []
     total = 0
     for prime in s.primes:

@@ -8,15 +8,14 @@ floating point), with a strictly positive solution scaled to coprime
 integers.  On all live binomials it gives the grading, memoized on the
 presentation, so each presentation solves one LP for it.
 
-Separatedness: a positive grading certifies a separated binoid, and the
-witness search is skipped where one exists; for a positive integral
-presentation the converse holds as well, so absence of a grading is
-conclusive there and a witness pair f = f + g with g a nonunit is produced.
-Outside that regime a found witness still certifies non-separatedness,
-while exhausting the search budget yields Unknown.  The regime is read from
-``presentation.units`` and ``spectrum.is_integral``, without the spectrum
-scan; the witness search, exponential in the rank too, refuses the ranks
-past ``spectrum.GENERATOR_CAP`` itself.
+Separatedness: a positive grading certifies a separated binoid.  Without
+one, the witness search at the degree budget looks for f = f + g with g a
+nonunit; it is exponential in the rank and refuses ranks past
+``spectrum.GENERATOR_CAP``.  On integral input (``spectrum.is_integral``,
+no scan) one more LP decides the rest by Stiemke's alternative: either
+weights >= 0, positive on the nonunits, kill the live binomials, so the
+binoid is separated, or a certificate yields a witness; the search is
+skipped past the cap there.  Other input without a witness is Unknown.
 
 The separated dimension is exact and needs no witness: the same helper runs
 once per set of relations that lies inside some face, on the face's nonunit
@@ -28,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Optional
 
 from . import rewrite, spectrum
@@ -54,7 +53,6 @@ class SeparationReport:
     verdict: str
     witness: Optional[tuple[Word, Word]]
     grading: Optional[GradingVector]
-    applicable_theorem: bool
 
 
 def _simplex_max(
@@ -186,11 +184,15 @@ def _positive_kernel(rows: list[list[int]], n: int) -> Optional[tuple[int, ...]]
     x = _simplex_max(a, b, c)
     if x is None or x[2 * n] - x[2 * n + 1] <= 0:
         return None
-    w = x[:n]
-    scale = lcm(*(f.denominator for f in w))
-    ints = [f.numerator * (scale // f.denominator) for f in w]
+    return tuple(_coprime(x[:n]))
+
+
+def _coprime(v: list[Fraction]) -> list[int]:
+    """The positive multiple of a nonzero rational vector with coprime integers."""
+    scale = lcm(*(f.denominator for f in v))
+    ints = [f.numerator * (scale // f.denominator) for f in v]
     g = gcd(*ints)
-    return tuple(v // g for v in ints)
+    return [x // g for x in ints]
 
 
 def find_unseparated(
@@ -227,27 +229,58 @@ def find_unseparated(
     return None
 
 
+def _certificate(rows: list[list[int]], n: int, nonunit: int) -> Optional[list[int]]:
+    """Coprime integer y with y . rows >= 0 in each of the n columns and
+    nonzero in a column of the mask ``nonunit``; None if none exists.
+
+    By Stiemke's alternative, y exists exactly when no w >= 0, positive on
+    the nonunit columns, kills the rows.  One LP: y = y+ - y- and slacks
+    s >= 0 with rows^T y = s, summing to 1 on the nonunit columns.
+    """
+    m = len(rows)
+    a = [[row[j] for row in rows] + [-row[j] for row in rows]
+         + [-int(i == j) for i in range(n)] for j in range(n)]
+    a.append([0] * (2 * m) + [nonunit >> i & 1 for i in range(n)])
+    x = _simplex_max(a, [0] * n + [1], [0] * (2 * m + n))
+    return None if x is None else _coprime(list(map(sub, x[:m], x[m:2 * m])))
+
+
+def _certified_witness(p: Presentation) -> Optional[tuple[Word, Word]]:
+    """(NF(f), g) with f = f + g and g a nonunit, from a certificate y on the
+    live binomials of an integral presentation; None if there is none.
+
+    Relation k enters f with |y_k| times the side that y_k subtracts, so
+    f + g = f for g = y . rows, and f is finite as the binoid is integral.
+    """
+    rs = rewrite.completion(p)
+    live = rs.live_binomials()
+    rows = [_difference(rel, p.rank) for rel in live]
+    y = _certificate(rows, p.rank, ((1 << p.rank) - 1) ^ units(p))
+    if y is None:
+        return None
+    sides = [(rel.rhs if yk > 0 else rel.lhs).dense(p.rank) for yk, rel in zip(y, live)]
+    f = tuple(sum(map(mul, map(abs, y), col)) for col in zip(*sides))
+    g = tuple(sum(map(mul, y, col)) for col in zip(*rows))
+    return Word.from_dense(rs._reduce(f)), Word.from_dense(g)
+
+
 def is_separated(
     p: Presentation, degree_budget: int = DEFAULT_WITNESS_BUDGET
 ) -> SeparationReport:
-    applicable = units(p) == 0 and spectrum.is_integral(p)
+    """A grading, else the scan's witness at the budget, else on integral
+    input the certificate's verdict, else Unknown."""
     grading = find_positive_grading(p)
     if grading is not None:
-        return SeparationReport(SEPARATED, None, grading, applicable)
-    if applicable:
-        budget = max(degree_budget, 1)
-        while budget <= 4096:  # the witness exists; widen until it appears
-            witness = find_unseparated(p, budget)
-            if witness is not None:
-                return SeparationReport(NOT_SEPARATED, witness, None, applicable)
-            budget *= 2
-        raise RuntimeError(
-            "ungradable positive integral binoid without a reachable witness"
-        )
-    witness = find_unseparated(p, degree_budget)
+        return SeparationReport(SEPARATED, None, grading)
+    integral = spectrum.is_integral(p)
+    witness = None
+    if not integral or p.rank <= spectrum.GENERATOR_CAP:
+        witness = find_unseparated(p, degree_budget)
+    if witness is None and integral:
+        witness = _certified_witness(p)
     if witness is not None:
-        return SeparationReport(NOT_SEPARATED, witness, None, applicable)
-    return SeparationReport(UNKNOWN, None, None, applicable)
+        return SeparationReport(NOT_SEPARATED, witness, None)
+    return SeparationReport(SEPARATED if integral else UNKNOWN, None, None)
 
 
 def sepdim(p: Presentation) -> tuple[int, bool]:
@@ -274,7 +307,7 @@ def sepdim(p: Presentation) -> tuple[int, bool]:
     ]
     separated: dict[tuple[int, ...], bool] = {}  # by the face's inner rows
     kept = []
-    for q in spectrum.spectrum_of(p).primes:
+    for q in spectrum.compute_spectrum(p).primes:
         inner = tuple(k for k, (mask, _) in enumerate(rows) if not mask & q.mask)
         if inner not in separated:
             face = [rows[k][1] for k in inner]

@@ -71,7 +71,7 @@ def classify_relation(rel: Relation) -> RelationClass:
 class Presentation:
     generators: tuple[str, ...]
     relations: tuple[Relation, ...]
-    # per-object results of completion, spectrum_of and find_positive_grading
+    # per-object results of completion, compute_spectrum and find_positive_grading
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import rewrite
 from .bitmask import indices, mask_of, union, word_mask
@@ -96,24 +96,14 @@ class PrimeIdeal:
         return "{" + ",".join(names[i] for i in self.gens) + "}"
 
 
-Compiled = tuple[tuple[int, Optional[int]], ...]
-
-
-def _compile(relations: Sequence[Relation]) -> Compiled:
-    """Each relation as (lhs support mask, rhs support mask or None if absorbing)."""
-    return tuple(
-        (word_mask(rel.lhs), None if rel.is_monomial else word_mask(rel.rhs))
-        for rel in relations
-    )
-
-
-def _admits(mask: int, compiled: Compiled) -> bool:
+def _admits(mask: int, relations: Sequence[Relation]) -> bool:
     """Whether one generator subset is a prime."""
-    for lhs, rhs in compiled:
-        if rhs is None:
-            if not lhs & mask:
+    for rel in relations:
+        meets = bool(word_mask(rel.lhs) & mask)
+        if rel.is_monomial:
+            if not meets:
                 return False
-        elif (not lhs & mask) != (not rhs & mask):
+        elif meets != bool(word_mask(rel.rhs) & mask):
             return False
     return True
 
@@ -318,16 +308,15 @@ def _table(p: Presentation, force: bool = False) -> int:
 
 
 def compute_spectrum(p: Presentation, force: bool = False) -> Spectrum:
-    """All admissible generator subsets, by cardinality then lexicographic."""
-    return Spectrum(p, tuple(_primes_of(_table(p, force), p.rank)))
+    """All admissible generator subsets, by cardinality then lexicographic.
 
-
-def spectrum_of(p: Presentation) -> Spectrum:
-    """``compute_spectrum(p)``, computed once per presentation."""
-    # the primes only, so that p and its memo form no reference cycle
-    # (see ``rewrite.completion``)
+    The primes are computed once per presentation; ``force`` only lifts the
+    cap check.  The memo holds the primes only, so that p and its memo form
+    no reference cycle (see ``rewrite.completion``).
+    """
+    table = _table(p, force)
     if "spectrum" not in p._memo:
-        p._memo["spectrum"] = compute_spectrum(p).primes
+        p._memo["spectrum"] = tuple(_primes_of(table, p.rank))
     return Spectrum(p, p._memo["spectrum"])
 
 
@@ -349,10 +338,14 @@ def f_vector(p: Presentation) -> FVector:
     return FVector(tuple(a - b for a, b in zip(sizes, sizes[1:] + [0])))
 
 
+def _minimal_members(family: int, has: Sequence[int]) -> int:
+    """The members of a family with no member strictly below them."""
+    return family ^ (family & _strictly(family, has, up=True))
+
+
 def minimal_primes(p: Presentation) -> list[PrimeIdeal]:
     """Inclusion-minimal primes, in spectrum order."""
-    table = _table(p)
-    minimal = table ^ (table & _strictly(table, _cube(p.rank), up=True))
+    minimal = _minimal_members(_table(p), _cube(p.rank))
     if not minimal:
         raise ZeroBinoid("the zero binoid has no minimal primes")
     return _primes_of(minimal, p.rank)
@@ -361,31 +354,31 @@ def minimal_primes(p: Presentation) -> list[PrimeIdeal]:
 def v_set(p: Presentation, words: Iterable[Word]) -> list[PrimeIdeal]:
     """Primes containing every given word."""
     ws = list(words)
-    s = spectrum_of(p)
+    s = compute_spectrum(p)
     return [q for q in s.primes if all(q.contains_word(w) for w in ws)]
 
 
 def d_set(p: Presentation, w: Word) -> list[PrimeIdeal]:
-    s = spectrum_of(p)
+    s = compute_spectrum(p)
     return [q for q in s.primes if not q.contains_word(w)]
 
 
 def closure(p: Presentation, primes: Iterable[PrimeIdeal]) -> list[PrimeIdeal]:
     """Topological closure of a set of points: all admissible supersets."""
     base = list(primes)
-    s = spectrum_of(p)
+    s = compute_spectrum(p)
     return [q for q in s.primes if any(e <= q for e in base)]
 
 
 def minimal_primes_over(p: Presentation, words: Iterable[Word]) -> list[PrimeIdeal]:
-    if spectrum_of(p).is_empty:
+    if compute_spectrum(p).is_empty:
         raise ZeroBinoid("the zero binoid has no primes")
     return _minimal(v_set(p, words))
 
 
 def irreducible_components(p: Presentation) -> list[list[PrimeIdeal]]:
     """V(P) for each minimal prime P."""
-    s = spectrum_of(p)
+    s = compute_spectrum(p)
     if s.is_empty:
         raise ZeroBinoid("the zero binoid has no components")
     return [[q for q in s.primes if m <= q] for m in _minimal(s.primes)]
@@ -407,34 +400,6 @@ def radical_membership(p: Presentation, w: Word, ideal_gens: Iterable[Word]) -> 
     return all(m.contains_word(w) for m in _minimal(v_set(p, ideal_gens)))
 
 
-def minimal_transversals(sets: Sequence[frozenset[int]]) -> list[frozenset[int]]:
-    """Inclusion-minimal hitting sets of the given set family.
-
-    Branch and bound on the first unhit set; supersets of found transversals
-    are pruned by a final minimality filter.
-    """
-    if any(not s for s in sets):
-        return []  # an empty member can never be hit
-    found: list[frozenset[int]] = []
-
-    def search(partial: frozenset[int], todo: list[frozenset[int]]) -> None:
-        if any(t <= partial for t in found):
-            return
-        unhit = [s for s in todo if not (s & partial)]
-        if not unhit:
-            found.append(partial)
-            return
-        for x in sorted(unhit[0]):
-            search(partial | {x}, unhit[1:])
-
-    search(frozenset(), list(sets))
-    distinct = set(found)
-    return sorted(
-        (t for t in distinct if not any(u < t for u in distinct)),
-        key=sorted,
-    )
-
-
 @dataclass(frozen=True)
 class Predicates:
     integral: bool
@@ -448,7 +413,7 @@ class Predicates:
 def is_integral(p: Presentation) -> bool:
     """The generators collapsing to the absorbing element form a prime."""
     absorbed = mask_of(rewrite.completion(p).absorbed_generators())
-    return _admits(absorbed, _compile(p.relations))
+    return _admits(absorbed, p.relations)
 
 
 def predicates(p: Presentation) -> Predicates:
@@ -456,27 +421,28 @@ def predicates(p: Presentation) -> Predicates:
 
     Units come from ``presentation.units`` and integrality from
     ``is_integral``, neither of which scans.  Only reducedness needs the
-    minimal primes: every minimal transversal of their generator sets must
-    be absorbing.  Every prime contains the absorbed generators and
+    minimal primes: every minimal transversal of their generator sets, a
+    minimal member of the family of subsets meeting each, must be
+    absorbing.  Every prime contains the absorbed generators and
     lies inside M+, so an integral binoid whose units and absorbed
     generators cover all generators has one prime: it is a binoid group.
     """
     unit_mask = units(p)
     if unit_mask is None:
         return Predicates(False, False, (), False, False, False)
-    # before completion, so the scan cap is refused first
-    minimal = minimal_primes(p)
+    # the transversals of the minimal primes: the AND, over them, of the
+    # subsets meeting one; before completion, so the scan cap is refused first
+    r, has = p.rank, _cube(p.rank)
+    hits = (1 << (1 << r)) - 1
+    for m in _members(_minimal_members(_table(p), has)):
+        hits &= union(has[j] for j in indices(m))
     rs = rewrite.completion(p)
     integral = is_integral(p)
     absorbed = mask_of(rs.absorbed_generators())
-    reduced = True
-    for t in minimal_transversals([frozenset(m.gens) for m in minimal]):
-        w = Word.zero()
-        for i in sorted(t):
-            w = w + Word.generator(i)
-        if not rs.normal_form(w).is_inf:
-            reduced = False
-            break
+    reduced = all(
+        rs._reduce(tuple(t >> (r - 1 - i) & 1 for i in range(r))) is rewrite.INF
+        for t in _members(_minimal_members(hits, has))
+    )
     boolean = all(
         rs.equal(Word.generator(i).scale(2), Word.generator(i))
         for i in range(p.rank)
@@ -557,7 +523,7 @@ def booleanize(p: Presentation) -> FiniteBooleanBinoid:
     come out in spectrum order.  Elements are ordered by size, then by
     their members' positions.
     """
-    s = spectrum_of(p)
+    s = compute_spectrum(p)
     if s.is_empty:
         raise ZeroBinoid("the zero binoid has no booleanization")
     masks = [q.mask for q in s.primes]

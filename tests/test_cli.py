@@ -71,7 +71,8 @@ def test_budget_exhaustion_exits_two():
 
 
 def test_unknown_verdict_exits_two():
-    code, out, _ = run("separated", "free(x,y)/(x+y=0)")
+    # non-integral and ungradable; its witness (z, 7z) lies past budget 6
+    code, out, _ = run("separated", "free(x,y,z)/(x+y=inf, 8z=z)")
     assert code == 2 and out.strip() == "Unknown"
 
 
@@ -198,13 +199,24 @@ def _run_bounded(*argv, seconds=30):
 
 
 def test_separated_zero_budget_returns():
-    # the witness search widens from the budget by doubling, which never
-    # grew from 0
     code, out, _ = _run_bounded("separated", "free(x)/(2x=3x)", "--budget", "0")
     assert code == 0 and out.strip() == "NotSeparated"
     # sepdim accepts the budget and reads no witness budget at all
     code, out, _ = _run_bounded("sepdim", "free(x)/(2x=3x)", "--budget", "0")
     assert code == 0 and out.strip() == "0 (certified)"
+
+
+def test_separated_on_an_ungradable_integral_presentation_returns():
+    # ungradable and integral, with no witness of degree <= 6 for the scan;
+    # the certificate gives g = 40a+60b and f = 30a+105c+105d, printed as its
+    # normal form
+    code, out, _ = _run_bounded(
+        "separated", "free(a,b,c,d)/(2a+7c=4b+7d, 5c+a=4d, 7a=3d)", "--json", seconds=0.5
+    )
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["verdict"] == "NotSeparated"
+    assert result["witness"] == {"f": "2a+192d", "g": "40a+60b"}
 
 
 def test_sepdim_on_twelve_ungradable_generators_returns():
@@ -377,6 +389,25 @@ GOLDEN = [
             '{"command": "separated", "input": "free(x)/(3x=x)", '
             '"result": {"certified": false, "grading": null, '
             '"verdict": "NotSeparated", "witness": {"f": "x", "g": "2x"}}}\n'
+        ),
+    ),
+    (
+        # binoid groups: M+ is empty, so separated without a grading
+        ['separated', 'free(x,y)/(x+y=0)', '--json'],
+        0,
+        (
+            '{"command": "separated", "input": "free(x,y)/(x+y=0)", '
+            '"result": {"certified": true, "grading": null, '
+            '"verdict": "Separated", "witness": null}}\n'
+        ),
+    ),
+    (
+        ['separated', 'free(x,y)/(x+y=0, 2x=3x)', '--json'],
+        0,
+        (
+            '{"command": "separated", "input": "free(x,y)/(x+y=0, 2x=3x)", '
+            '"result": {"certified": true, "grading": null, '
+            '"verdict": "Separated", "witness": null}}\n'
         ),
     ),
     (
@@ -584,10 +615,18 @@ GOLDEN_EXITS = {
         + ")\n",
         "",
     ),
-    # the witness scan, the prime count and reducedness keep the cap
+    # integral, so the certificate answers where the witness scan is capped
     "separated-25-ungradable": (
-        ["separated", _free(25) + "/(g0+g1=g0)"], 3, "", _CAP_ERROR
+        ["separated", _free(25) + "/(g0+g1=g0)", "--json"],
+        0,
+        (
+            f'{{"command": "separated", "input": "{_free(25)}/(g0+g1=g0)", '
+            '"result": {"certified": false, "grading": null, '
+            '"verdict": "NotSeparated", "witness": {"f": "g0", "g": "g1"}}}\n'
+        ),
+        "",
     ),
+    # the prime count and reducedness keep the cap
     "sepdim-25-free": (["sepdim", _free(25)], 3, "", _CAP_ERROR),
     "predicates-25-free": (["predicates", _free(25)], 3, "", _CAP_ERROR),
     "hilbert-not-positive": (
@@ -609,10 +648,10 @@ GOLDEN_EXITS = {
         "ZeroBinoid: the zero binoid has no separated dimension\n",
     ),
     "separated-unknown": (
-        ["separated", "free(x,y)/(x+y=0, 2x=3x)", "--json"],
+        ["separated", "free(x,y,z)/(x+y=inf, 8z=z)", "--json"],
         2,
         (
-            '{"command": "separated", "input": "free(x,y)/(x+y=0, 2x=3x)", '
+            '{"command": "separated", "input": "free(x,y,z)/(x+y=inf, 8z=z)", '
             '"result": {"certified": false, "grading": null, "verdict": "Unknown", '
             '"witness": null}}\n'
         ),

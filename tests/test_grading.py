@@ -105,7 +105,6 @@ def test_separated_with_grading():
     report = is_separated(parse_presentation("free(x,y)/(x+2y=2x+y)"))
     assert report.verdict == SEPARATED
     assert report.grading.weights == (1, 1)
-    assert report.applicable_theorem
 
 
 def test_not_separated_with_witness_class():
@@ -128,10 +127,10 @@ def test_loop_is_not_separated():
 
 
 def test_unknown_outside_the_theorem_scope():
-    # an infinite unit group: no grading, no witness, honest Unknown
-    report = is_separated(parse_presentation("free(x,y)/(x+y=0)"))
+    # not integral (x+y=inf) and ungradable (8z=z); the witness (z, 7z) lies
+    # past the default budget: no grading, no witness, honest Unknown
+    report = is_separated(parse_presentation("free(x,y,z)/(x+y=inf, 8z=z)"))
     assert report.verdict == UNKNOWN
-    assert not report.applicable_theorem
 
 
 def test_witnesses_verify_and_respect_budget_order():

@@ -2,6 +2,7 @@
 loops in tests_support."""
 
 from fractions import Fraction
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -9,18 +10,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from binoidal import grading, rewrite, spectrum
+from binoidal.bitmask import mask_of
 from binoidal.errors import BudgetExceeded, ZeroBinoid
 from binoidal.parser import parse_presentation
 from binoidal.presentation import make_presentation
 from binoidal.words import Word
 from tests_support import (
+    oracle_equal,
     oracle_hilbert_samuel,
     oracle_order_delta,
     oracle_reduce,
     oracle_sepdim,
     oracle_simplex_max,
+    oracle_spectrum,
     oracle_witness_pairs,
     random_presentation,
+    saturation_classes,
 )
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -148,11 +153,54 @@ def test_witness_search_matches_the_word_loops(p, budget):
 # its witness g0 = g0 + 7g0 lies past degree 4, so the loops say 1 and sepdim 0
 @example(parse_presentation("free(g0)/(8g0=g0)"))
 def test_sepdim_from_faces_against_the_word_loops(p):
-    if spectrum.spectrum_of(p).is_empty:
+    if spectrum.compute_spectrum(p).is_empty:
         with pytest.raises(ZeroBinoid):
             grading.sepdim(p)
         return
     _check_sepdim(p, 4)
+
+
+@SETTINGS
+@given(presentations(max_rank=4), st.integers(0, 4))
+@example(parse_presentation("free(x,y)/(x+y=0, 2x=3x)"), 4)
+@example(parse_presentation("free(a,b,c,d)/(2a+7c=4b+7d, 5c+a=4d, 7a=3d)"), 2)
+@example(parse_presentation("free(x,y,z)/(x+y=inf, 8z=z)"), 4)
+def test_separated_verdicts_check_out_without_is_separated(p, budget):
+    """Gradings and certificates by integer arithmetic, witnesses by a fresh
+    completion and the saturation closure, nonunits by the set-based
+    spectrum."""
+    report = grading.is_separated(p, budget)
+    rs = rewrite.complete(p)
+    rows = [
+        [a - b for a, b in zip(rel.lhs.dense(p.rank), rel.rhs.dense(p.rank))]
+        for rel in p.binomial_relations()
+        if not rs.normal_form(rel.lhs).is_inf
+    ]
+    primes = oracle_spectrum(p)
+    nonunit = max(primes, key=len) if primes else ()
+    y = grading._certificate(rows, p.rank, mask_of(nonunit)) if primes else None
+    if y is not None:
+        g = [sum(yk * row[j] for yk, row in zip(y, rows)) for j in range(p.rank)]
+        assert min(g) >= 0 and any(g[j] for j in nonunit)
+    if report.grading is not None:
+        w = report.grading.weights
+        assert min(w) >= 1 and all(sum(map(mul, row, w)) == 0 for row in rows)
+        assert y is None  # Stiemke: a grading rules out every certificate
+    if spectrum.is_integral(p):
+        assert report.verdict != grading.UNKNOWN
+        assert (report.verdict == grading.SEPARATED) == (y is None)
+    if report.verdict == grading.SEPARATED and report.grading is None:
+        assert oracle_witness_pairs(p, 4) == []
+    if report.verdict == grading.NOT_SEPARATED:
+        f, g = report.witness
+        assert not rs.normal_form(f).is_inf and rs.equal(f, f + g)
+        assert set(g.support()) & set(nonunit)
+        d = sum(e for _, e in (f + g).exps)
+        if d <= 16:  # past that the closure's windows grow too large
+            assert any(
+                oracle_equal(saturation_classes(p, d + slack), f, f + g, p.rank)
+                for slack in (0, 4, 8, 12)
+            )
 
 
 @st.composite

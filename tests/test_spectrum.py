@@ -18,13 +18,12 @@ from binoidal.spectrum import (
     is_nilpotent,
     minimal_primes,
     minimal_primes_over,
-    minimal_transversals,
     predicates,
     radical_membership,
     v_set,
 )
 from binoidal.words import Word
-from tests_support import random_presentation
+from tests_support import minimal_transversals, random_presentation
 
 
 def names_of(p, primes):

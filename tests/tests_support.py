@@ -212,6 +212,34 @@ def oracle_longest_chains(masks, r):
     return table
 
 
+def minimal_transversals(sets):
+    """Inclusion-minimal hitting sets of the given set family.
+
+    Branch and bound on the first unhit set; supersets of found transversals
+    are pruned by a final minimality filter.
+    """
+    if any(not s for s in sets):
+        return []  # an empty member can never be hit
+    found = []
+
+    def search(partial, todo):
+        if any(t <= partial for t in found):
+            return
+        unhit = [s for s in todo if not (s & partial)]
+        if not unhit:
+            found.append(partial)
+            return
+        for x in sorted(unhit[0]):
+            search(partial | {x}, unhit[1:])
+
+    search(frozenset(), list(sets))
+    distinct = set(found)
+    return sorted(
+        (t for t in distinct if not any(u < t for u in distinct)),
+        key=sorted,
+    )
+
+
 def oracle_reduced(p):
     """Every minimal transversal of the minimal primes is absorbing."""
     masks = oracle_scan(p)
@@ -219,7 +247,7 @@ def oracle_reduced(p):
         return False  # the zero binoid
     rs = rewrite.completion(p)
     minimal = [m for m in masks if not any(o & m == o != m for o in masks)]
-    for t in spectrum.minimal_transversals([frozenset(indices(m)) for m in minimal]):
+    for t in minimal_transversals([frozenset(indices(m)) for m in minimal]):
         w = Word.zero()
         for i in sorted(t):
             w = w + Word.generator(i)
