@@ -26,7 +26,8 @@ class PresentationError(BinoidalError):
 
 
 class BudgetExceeded(BinoidalError):
-    """Completion gave up after the configured number of rule candidates."""
+    """Completion gave up after the configured number of rule candidates, or
+    an enumeration would pass its cap."""
 
 
 class NotPositive(BinoidalError):

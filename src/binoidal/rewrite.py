@@ -8,13 +8,17 @@ ring.  Termination of the loop is guaranteed by Dickson's lemma; a safety
 budget turns pathological blowup into a hard error instead of a wrong
 answer.
 
-The term order is graded lexicographic with generator precedence given by
-declaration order; the absorbing word is strictly minimal.
+Completion takes one of two term orders: graded lexicographic, generators
+ranked by declaration order, for the word problem; and, for positive weights
+w, the order of (sum w_i v_i, -sum v_i, v), whose normal form of a finite
+class in one weight level is its word of largest degree.  The absorbing word
+is strictly minimal in both.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from operator import le, mul, sub
@@ -35,6 +39,9 @@ INF = None  # internal marker for an absorbing right-hand side
 Vec = tuple[int, ...]
 
 DEFAULT_BUDGET = 100_000
+
+# hilbert refuses n once the words of degree < n outnumber this
+HILBERT_WORD_CAP = 10_000_000
 
 
 def _key(v: Vec) -> tuple[int, Vec]:
@@ -80,7 +87,8 @@ def _reduce_by(
         if r is INF:
             return INF
         d = tuple(map(sub, r, l))
-        # grlex-oriented rules decrease some coordinate, so this is finite
+        # l > r in an order with positive weights, where r >= l componentwise
+        # forces r = l; so some coordinate drops, and k is finite
         k = min((x - a) // -s for x, a, s in zip(v, l, d) if s < 0) + 1
         if k > 1:
             for e, _ in rules[:j]:
@@ -171,16 +179,20 @@ class RewriteSystem:
         return True
 
 
-def _orient(a: Optional[Vec], b: Optional[Vec]) -> tuple[Vec, Optional[Vec]]:
+def _orient(a: Optional[Vec], b: Optional[Vec], key=_key) -> tuple[Vec, Optional[Vec]]:
     if a is INF:
         a, b = b, a
     if b is INF:
         return a, INF
-    return (a, b) if _key(a) > _key(b) else (b, a)
+    return (a, b) if key(a) > key(b) else (b, a)
 
 
-def complete(p: Presentation, budget: int = DEFAULT_BUDGET) -> RewriteSystem:
-    """Complete the presentation's relations into a confluent system."""
+def complete(
+    p: Presentation, budget: int = DEFAULT_BUDGET, weights: Optional[Vec] = None
+) -> RewriteSystem:
+    """Complete the relations into a confluent system, under grlex or else
+    under the weighted order of the given positive weights."""
+    key = _key if weights is None else lambda v: (sum(map(mul, weights, v)), -sum(v), v)
     r = p.rank
     pending: deque[tuple[Optional[Vec], Optional[Vec]]] = deque()
     for rel in p.relations:
@@ -201,7 +213,7 @@ def complete(p: Presentation, budget: int = DEFAULT_BUDGET) -> RewriteSystem:
         b = _reduce_by(rules, b)
         if a == b:
             continue
-        lhs, rhs = _orient(a, b)
+        lhs, rhs = _orient(a, b, key)
         keep: list[tuple[Vec, Optional[Vec]]] = []
         for l, rr in rules:
             if _divides(lhs, l) or (rr is not INF and _divides(lhs, rr)):
@@ -219,18 +231,20 @@ def complete(p: Presentation, budget: int = DEFAULT_BUDGET) -> RewriteSystem:
             pending.append((s1, s2))
         keep.append((lhs, rhs))
         rules = keep
-    rules.sort(key=lambda lr: _key(lr[0]))
+    rules.sort(key=lambda lr: key(lr[0]))
     return RewriteSystem(source=p, _rules=tuple(rules))
 
 
-def completion(p: Presentation) -> RewriteSystem:
-    """``complete(p)`` at the default budget, computed once per presentation."""
+def completion(p: Presentation, weights: Optional[Vec] = None) -> RewriteSystem:
+    """``complete(p, weights=weights)`` at the default budget, computed once
+    per presentation and term order."""
     # the memo keeps the rules, not the system: a system refers back to p,
     # and that cycle would leave p to the cyclic collector instead of
     # freeing it when the caller drops it
-    if "completion" not in p._memo:
-        p._memo["completion"] = complete(p)._rules
-    return RewriteSystem(source=p, _rules=p._memo["completion"])
+    memo = "completion" if weights is None else ("completion", weights)
+    if memo not in p._memo:
+        p._memo[memo] = complete(p, weights=weights)._rules
+    return RewriteSystem(source=p, _rules=p._memo[memo])
 
 
 def _words_of_degree(r: int, d: int) -> Iterator[Vec]:
@@ -249,13 +263,23 @@ def iter_words(r: int, max_degree: int) -> Iterator[Vec]:
         yield from _words_of_degree(r, d)
 
 
+def _irreducible(rs: RewriteSystem, degree_bound: int) -> Iterator[Vec]:
+    """The words of degree <= bound that no rule's left side divides: in a
+    confluent system, the finite normal forms of degree <= bound."""
+    lhs = [l for l, _ in rs._rules]
+    for v in iter_words(rs.rank, degree_bound):
+        if not any(all(map(le, l, v)) for l in lhs):
+            yield v
+
+
 def _normal_forms(rs: RewriteSystem, degree_bound: int) -> list[Vec]:
-    """The elements ``enumerate_elements`` lists, as exponent vectors."""
+    """The elements ``enumerate_elements`` lists, as exponent vectors.
+
+    Grlex rules never raise the degree, so these are the irreducible words.
+    """
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
-    seen = {rs._reduce(v) for v in iter_words(rs.rank, degree_bound)}
-    seen.discard(INF)
-    return sorted(seen, key=_key)
+    return sorted(_irreducible(rs, degree_bound), key=_key)
 
 
 def enumerate_elements(rs: RewriteSystem, degree_bound: int) -> list[Word]:
@@ -283,50 +307,17 @@ def order_delta(p: Presentation, grading, w: Word) -> int:
 
     Requires a positive presentation and a valid positive grading; then each
     congruence class away from the absorbing element sits in one finite
-    weight level and the maximum exists.
+    weight level, so the maximum is the degree of its weighted normal form.
     """
     weights = tuple(grading.weights) if hasattr(grading, "weights") else tuple(grading)
-    rs = completion(p)
+    completion(p)  # a budget error comes before the precondition errors
     if units(p):
         raise NotPositive("order function requires a positive binoid")
     _validate_grading(p, weights)
-    if rs.normal_form(w).is_inf:
+    nf = completion(p, weights).normal_form(w)
+    if nf.is_inf:
         raise IsInfinity("the absorbing class has no order")
-    v = w.dense(rs.rank)
-    return _level_orders(rs, weights, _weight(weights, v))[rs._reduce(v)]
-
-
-def _weight(weights: tuple[int, ...], v: Vec) -> int:
-    return sum(map(mul, weights, v))
-
-
-def _level_orders(
-    rs: RewriteSystem, weights: tuple[int, ...], grade: int
-) -> dict[Vec, int]:
-    """Largest degree of a word in each finite class of one weight level."""
-    best: dict[Vec, int] = {}
-    for v in _weighted_level(weights, grade):
-        nf = rs._reduce(v)
-        if nf is not INF and best.get(nf, -1) < sum(v):
-            best[nf] = sum(v)
-    return best
-
-
-def _weighted_level(weights: tuple[int, ...], grade: int) -> Iterator[Vec]:
-    """All exponent vectors v with sum(weights[i] * v[i]) == grade."""
-    r = len(weights)
-
-    def rec(i: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        if i == r:
-            if remaining == 0:
-                yield ()
-            return
-        w = weights[i]
-        for e in range(remaining // w + 1):
-            for rest in rec(i + 1, remaining - e * w):
-                yield (e,) + rest
-
-    return rec(0, grade)
+    return nf.degree()
 
 
 def hilbert_samuel(p: Presentation, n: int) -> int:
@@ -334,13 +325,15 @@ def hilbert_samuel(p: Presentation, n: int) -> int:
 
     Defined here only for positive presentations carrying a positive
     grading; without one the order function can be infinite and no general
-    algorithm is attempted.
+    algorithm is attempted.  The classes of order < n are the weighted
+    normal forms of degree < n.  Past ``HILBERT_WORD_CAP`` words of degree
+    < n, raises ``BudgetExceeded``.
     """
     from .grading import find_positive_grading
 
     if n < 1:
         raise ValueError("n must be a positive integer")
-    rs = completion(p)
+    completion(p)  # a budget error comes before the precondition errors
     if units(p):
         raise NotPositive("Hilbert-Samuel values require a positive binoid")
     grading = find_positive_grading(p)
@@ -349,11 +342,10 @@ def hilbert_samuel(p: Presentation, n: int) -> int:
             "no positive grading; the order function may be infinite"
         )
     _validate_grading(p, grading.weights)
-    levels: dict[int, list[Vec]] = {}
-    for v in _normal_forms(rs, n - 1):
-        levels.setdefault(_weight(grading.weights, v), []).append(v)
-    count = 0
-    for grade, forms in levels.items():
-        orders = _level_orders(rs, grading.weights, grade)
-        count += sum(orders[v] < n for v in forms)
-    return count
+    words = math.comb(n - 1 + p.rank, p.rank)
+    if words > HILBERT_WORD_CAP:
+        raise BudgetExceeded(
+            f"hilbert {n} would enumerate {words} words, past the cap of "
+            f"{HILBERT_WORD_CAP}"
+        )
+    return sum(1 for _ in _irreducible(completion(p, grading.weights), n - 1))

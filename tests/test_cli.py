@@ -250,6 +250,14 @@ def test_nf_with_huge_exponents_returns():
     assert code == 0 and out == "1000000000y\n"
 
 
+def test_hilbert_past_the_word_cap_is_refused():
+    # 4 generators have about 4 * 10^22 words of degree < 10^6, too many to
+    # enumerate
+    code, out, err = _run_bounded("hilbert", "1000000", "free(x,y,z,w)")
+    assert (code, out) == (2, "")
+    assert err.startswith("budget exceeded: hilbert 1000000 would enumerate ")
+
+
 def test_count_points_with_a_large_prime_returns():
     # trial division up to the square root never finished for this q
     q = 1000000000000000003
@@ -372,6 +380,23 @@ GOLDEN = [
         (
             '{"command": "hilbert", "input": [3, "free(x,y)"], "result": {"n": 3, '
             '"value": 6}}\n'
+        ),
+    ),
+    # grlex orients 3y -> 2x, the weighted order 2x -> 3y
+    (
+        ['hilbert', '6', 'free(x,y)/(2x=3y)', '--json'],
+        0,
+        (
+            '{"command": "hilbert", "input": [6, "free(x,y)/(2x=3y)"], "result": '
+            '{"n": 6, "value": 11}}\n'
+        ),
+    ),
+    (
+        ['hilbert', '7', 'free(x,y,z)/(x+y=2z, 3x=inf)', '--json'],
+        0,
+        (
+            '{"command": "hilbert", "input": [7, "free(x,y,z)/(x+y=2z, 3x=inf)"], '
+            '"result": {"n": 7, "value": 33}}\n'
         ),
     ),
     (
@@ -720,30 +745,33 @@ def test_each_presentation_is_completed_and_scanned_at_most_once(monkeypatch):
         original = getattr(module, name)
 
         def wrapper(p, *args, **kwargs):
-            seen[name].append(p)  # holding p keeps its id unique
+            # holding p keeps its id unique; a completion's term order is
+            # grlex or the weighted order of its weights
+            seen[name].append((p, kwargs.get("weights")))
             return original(p, *args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
     counted(rewrite, "complete")
     counted(spectrum, "_scan")
-    # (argv, (complete calls, _scan calls)); units and integrality need no
-    # scan, so only sepdim's faces and the simplicial recognizer's minimal
-    # primes scan
+    # (argv, (grlex completions, weighted completions, _scan calls)); units
+    # and integrality need no scan, so only sepdim's faces and the simplicial
+    # recognizer's minimal primes scan; hilbert reads the weighted order
     calls = [
-        (["separated", "free(x)/(2x=3x)", "--budget", "0"], (1, 0)),
-        (["sepdim", "free(x)/(2x=3x)"], (1, 1)),
-        (["sepdim", "free(x,y)/(x+y=2y, 3x=2x)"], (1, 1)),
-        (["hilbert", "3", "free(x,y)/(x+y=2y)"], (1, 0)),
-        (["simplicial:recognize", "free(x,y,z)/(x+y=inf)"], (1, 1)),
+        (["separated", "free(x)/(2x=3x)", "--budget", "0"], (1, 0, 0)),
+        (["sepdim", "free(x)/(2x=3x)"], (1, 0, 1)),
+        (["sepdim", "free(x,y)/(x+y=2y, 3x=2x)"], (1, 0, 1)),
+        (["hilbert", "3", "free(x,y)/(x+y=2y)"], (1, 1, 0)),
+        (["simplicial:recognize", "free(x,y,z)/(x+y=inf)"], (1, 0, 1)),
     ]
     for argv, counts in calls:
         for found in seen.values():
             found.clear()
         assert run(*argv)[0] == 0, argv
-        assert tuple(map(len, seen.values())) == counts, argv
+        orders = [w is None for _, w in seen["complete"]]
+        assert (orders.count(True), orders.count(False), len(seen["_scan"])) == counts, argv
         for name, found in seen.items():
-            assert len({id(p) for p in found}) == len(found), (argv, name)
+            assert len({(id(p), w) for p, w in found}) == len(found), (argv, name)
     # an empty spectrum decides every predicate before completion runs
     seen["complete"].clear()
     assert run("predicates", "free(x)/(0=inf)")[0] == 0

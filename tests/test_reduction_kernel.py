@@ -18,6 +18,7 @@ from binoidal.words import Word
 from tests_support import (
     oracle_equal,
     oracle_hilbert_samuel,
+    oracle_normal_forms,
     oracle_order_delta,
     oracle_reduce,
     oracle_sepdim,
@@ -26,6 +27,7 @@ from tests_support import (
     oracle_witness_pairs,
     random_presentation,
     saturation_classes,
+    weighted_level,
 )
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -210,7 +212,7 @@ def graded_presentations(draw):
     weights = draw(st.tuples(*[st.integers(1, 2)] * rank))
     rels = []
     for _ in range(draw(st.integers(0, 3))):
-        level = list(rewrite._weighted_level(weights, draw(st.integers(1, 5))))
+        level = list(weighted_level(weights, draw(st.integers(1, 5))))
         if not level:
             continue
         lhs = Word.from_dense(draw(st.sampled_from(level)))
@@ -228,10 +230,21 @@ def test_hilbert_samuel_matches_the_per_element_loop(p, n):
     assert rewrite.hilbert_samuel(p, n) == oracle_hilbert_samuel(p, n)
     rs = rewrite.complete(p)
     weights = grading.find_positive_grading(p).weights
-    for w in rewrite.enumerate_elements(rs, n - 1)[:4]:
+    for w in rewrite.enumerate_elements(rs, n - 1):
         assert rewrite.order_delta(p, weights, w) == oracle_order_delta(
             p, weights, w, rs
         )
+
+
+@SETTINGS
+@given(presentations(), st.integers(0, 8))
+@example(parse_presentation("free(x,y)/(x+y=0, 2x=3x)"), 8)
+@example(parse_presentation("free(x,y)/(x+y=inf, 3x=2y, 0=inf)"), 4)
+def test_irreducible_words_are_the_reduced_words(p, d):
+    # units, absorbing relations and ungradable binomials: grlex rules never
+    # raise the degree, whatever the relations
+    rs = rewrite.complete(p)
+    assert rewrite._normal_forms(rs, d) == oracle_normal_forms(rs, d)
 
 
 @SETTINGS

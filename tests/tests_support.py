@@ -313,9 +313,9 @@ def oracle_minimal_nonfaces(delta):
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
-# Reference word-problem loops: the one-rule-per-step reducer and the
-# Word-based witness and Hilbert-Samuel loops that the tuple kernel in
-# binoidal.rewrite and binoidal.grading replaced.
+# Reference word-problem loops: the one-rule-per-step reducer, the
+# reduce-every-word enumeration and the Word-based witness and weight-level
+# Hilbert-Samuel loops that binoidal.rewrite and binoidal.grading replaced.
 
 
 def oracle_reduce(rules, v):
@@ -335,6 +335,31 @@ def oracle_reduce(rules, v):
     return v
 
 
+def oracle_normal_forms(rs, degree_bound):
+    """The distinct finite normal forms of all words of degree <= bound,
+    sorted ascending in grlex."""
+    seen = {rs._reduce(v) for v in rewrite.iter_words(rs.rank, degree_bound)}
+    seen.discard(None)
+    return sorted(seen, key=lambda v: (sum(v), v))
+
+
+def weighted_level(weights, grade):
+    """All exponent vectors v with sum(weights[i] * v[i]) == grade."""
+    r = len(weights)
+
+    def rec(i, remaining):
+        if i == r:
+            if remaining == 0:
+                yield ()
+            return
+        w = weights[i]
+        for e in range(remaining // w + 1):
+            for rest in rec(i + 1, remaining - e * w):
+                yield (e,) + rest
+
+    return rec(0, grade)
+
+
 def _oracle_nonunit_words(p, unit_gens, degree):
     for v in sorted(rewrite._words_of_degree(p.rank, degree)):
         w = Word.from_dense(v)
@@ -352,7 +377,7 @@ def oracle_witness_pairs(p, degree_budget):
         return None
     unit_gens = frozenset(range(p.rank)) - frozenset(s.max_ideal.gens)
     pairs = []
-    for f in rewrite.enumerate_elements(rs, degree_budget):
+    for f in map(Word.from_dense, oracle_normal_forms(rs, degree_budget)):
         nf = rs.normal_form(f)
         for dg in range(1, degree_budget + 1):
             g = next(
@@ -391,7 +416,7 @@ def oracle_order_delta(p, weights, w, rs):
         raise IsInfinity("the absorbing class has no order")
     grade = sum(weights[i] * e for i, e in w.exps)
     best = 0
-    for v in rewrite._weighted_level(weights, grade):
+    for v in weighted_level(weights, grade):
         if rs.equal(Word.from_dense(v), w):
             best = max(best, sum(v))
     return best
@@ -406,8 +431,8 @@ def oracle_hilbert_samuel(p, n):
     if found is None:
         raise NoPositiveGrading("no positive grading")
     return sum(
-        oracle_order_delta(p, found.weights, w, rs) < n
-        for w in rewrite.enumerate_elements(rs, n - 1)
+        oracle_order_delta(p, found.weights, Word.from_dense(v), rs) < n
+        for v in oracle_normal_forms(rs, n - 1)
     )
 
 
