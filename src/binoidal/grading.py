@@ -18,8 +18,8 @@ binoid is separated, or a certificate yields a witness; the search is
 skipped past the cap there.  Other input without a witness is Unknown.
 
 The separated dimension is exact and needs no witness: the same helper runs
-once per set of relations that lies inside some face, on the face's nonunit
-columns, and decides which faces hold an unseparated element.
+once per cell of ``spectrum._cells``, the primes whose faces hold the same
+live binomials, on the nonunit columns of those binomials.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from operator import add, mul, sub
 from typing import Optional
 
 from . import rewrite, spectrum
-from .bitmask import indices, word_mask
+from .bitmask import indices
 from .errors import ZeroBinoid
 from .presentation import Presentation, Relation, units
 from .words import Word
@@ -290,9 +290,9 @@ def sepdim(p: Presentation) -> tuple[int, bool]:
     lhs - rhs of the relations inside it holds some g >= 0 that is a
     nonunit; then g fixes every deep enough word on the face.  By Stiemke's
     alternative that is when no weights >= 1 on the face's nonunit columns
-    kill those rows, one LP per set of inner relations.  Unseparated faces
-    form an up-set, so V is the set of primes whose face is not unseparated;
-    the value, its longest chain, is exact, so the flag is always True.
+    kill those rows, one LP per cell of primes with the same inner relations.
+    Unseparated faces form an up-set, so V is the union of the cells that
+    pass; the value, its longest chain, is exact, so the flag is always True.
     With a positive grading no face is unseparated: the value is ``dim``.
     """
     unit_mask = units(p)
@@ -301,20 +301,13 @@ def sepdim(p: Presentation) -> tuple[int, bool]:
     if find_positive_grading(p) is not None:
         return spectrum.dim(p), True
     nonunit = indices(((1 << p.rank) - 1) ^ unit_mask)
-    rows = [
-        (word_mask(rel.lhs) | word_mask(rel.rhs), _difference(rel, p.rank))
-        for rel in rewrite.completion(p).live_binomials()
-    ]
-    separated: dict[tuple[int, ...], bool] = {}  # by the face's inner rows
-    kept = []
-    for q in spectrum.compute_spectrum(p).primes:
-        inner = tuple(k for k, (mask, _) in enumerate(rows) if not mask & q.mask)
-        if inner not in separated:
-            face = [rows[k][1] for k in inner]
-            cols = [i for i in nonunit if any(row[i] for row in face)]
-            sub = [[row[i] for i in cols] for row in face]
-            separated[inner] = _positive_kernel(sub, len(cols)) is not None
-        if separated[inner]:
-            kept.append(q)
-    heights = spectrum.Spectrum(p, tuple(kept)).heights()
-    return max(heights.values(), default=-1), True
+    live = rewrite.completion(p).live_binomials()
+    rows = [_difference(rel, p.rank) for rel in live]
+    kept = 0
+    for inner, family in spectrum._cells(p, live):
+        face = [rows[k] for k in inner]
+        cols = [i for i in nonunit if any(row[i] for row in face)]
+        sub = [[row[i] for i in cols] for row in face]
+        if _positive_kernel(sub, len(cols)) is not None:
+            kept |= family
+    return spectrum._longest_chain(kept, p.rank), True

@@ -12,6 +12,7 @@ counting identities exercised in the test suite.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -176,25 +177,13 @@ def _fresh(name: str, taken: set[str]) -> str:
 
 def _disjoint_names(parts: Sequence[Sequence[str]]) -> list[list[str]]:
     """Merge generator alphabets, renaming collisions with _1, _2 suffixes."""
-    collisions = set()
-    seen: set[str] = set()
-    for part in parts:
-        for name in part:
-            if name in seen:
-                collisions.add(name)
-            seen.add(name)
+    counts = Counter(name for part in parts for name in part)
     taken: set[str] = set()
     out: list[list[str]] = []
     for part in parts:
         renamed = []
         for name in part:
-            if name in collisions:
-                k = 1
-                while f"{name}_{k}" in taken:
-                    k += 1
-                candidate = f"{name}_{k}"
-            else:
-                candidate = _fresh(name, taken)
+            candidate = _fresh(name, taken | {name} if counts[name] > 1 else taken)
             taken.add(candidate)
             renamed.append(candidate)
         out.append(renamed)

@@ -28,7 +28,8 @@ of subsets with bit ``j``, is built by doubling a block of 2^j zeros and
   tables at r = 24.  The scan refuses more than ``GENERATOR_CAP`` = 24
   generators unless forced (``spec``/``dim --force`` on the CLI);
 - ``dim``, ``f_vector``, ``minimal_primes`` and ``predicates`` build no
-  ``PrimeIdeal`` per prime, nor does ``simplicial.recognize_simplicial``.
+  ``PrimeIdeal`` per prime, nor do ``simplicial.recognize_simplicial`` and
+  ``grading.sepdim``.
   ``compute_spectrum`` reads the ordered primes off the family's binary
   digits; covers, the booleanization and the Zariski sets compare the
   primes as masks.
@@ -280,21 +281,21 @@ def check_scan_cap(r: int) -> None:
         )
 
 
+def _meets(w: Word, has: Sequence[int]) -> int:
+    """The codes of the subsets that meet the support of w."""
+    return union(has[len(has) - 1 - i] for i, _ in w.exps)
+
+
 def _scan(p: Presentation) -> int:
     """The primes of p as a family of codes."""
-    r = p.rank
-    has = _cube(r)
-
-    def meets(w: Word) -> int:
-        return union(has[r - 1 - i] for i, _ in w.exps)
-
-    table = (1 << (1 << r)) - 1
+    has = _cube(p.rank)
+    table = (1 << (1 << p.rank)) - 1
     for rel in p.relations:
-        lhs = meets(rel.lhs)
+        lhs = _meets(rel.lhs, has)
         if rel.is_monomial:
             table &= lhs
         else:
-            table ^= table & (lhs ^ meets(rel.rhs))  # meets one side only
+            table ^= table & (lhs ^ _meets(rel.rhs, has))  # meets one side only
     return table
 
 
@@ -320,9 +321,34 @@ def compute_spectrum(p: Presentation, force: bool = False) -> Spectrum:
     return Spectrum(p, p._memo["spectrum"])
 
 
+def _cells(
+    p: Presentation, relations: Sequence[Relation]
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(indices, family) for each nonempty cell of the primes that avoid the
+    support of the same binomials, split depth first on a stack.  A prime
+    meets both sides of a binomial or neither, so the left side decides."""
+    has = _cube(p.rank)
+    stack = [(0, (), _table(p))]
+    while stack:
+        k, inner, family = stack.pop()
+        if k == len(relations):
+            yield inner, family
+            continue
+        hit = family & _meets(relations[k].lhs, has)
+        if family ^ hit:
+            stack.append((k + 1, inner + (k,), family ^ hit))
+        if hit:
+            stack.append((k + 1, inner, hit))
+
+
+def _longest_chain(family: int, r: int) -> int:
+    """Length of the longest chain of members; -1 for the empty family."""
+    return sum(1 for _ in _layers(family, _cube(r))) - 1
+
+
 def dim(p: Presentation, force: bool = False) -> int:
     """Length of the longest prime chain; -1 for the zero binoid."""
-    return sum(1 for _ in _layers(_table(p, force), _cube(p.rank))) - 1
+    return _longest_chain(_table(p, force), p.rank)
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,9 @@ def test_smash_is_disjoint_union_of_relations():
 def test_smash_renames_collisions_deterministically():
     p = smash(free("x"), free("x"))
     assert p.generators == ("x_1", "x_2")
+    # a colliding name skips a suffix that a name of the input already holds
+    p = smash(free("x", "x_1"), free("x"))
+    assert p.generators == ("x_1", "x_1_1", "x_2")
 
 
 def test_smash_with_trivial_presentation_keeps_the_other_factor():

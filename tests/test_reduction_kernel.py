@@ -17,6 +17,7 @@ from binoidal.presentation import make_presentation
 from binoidal.words import Word
 from tests_support import (
     oracle_equal,
+    oracle_face_sepdim,
     oracle_hilbert_samuel,
     oracle_normal_forms,
     oracle_order_delta,
@@ -123,9 +124,11 @@ def test_completion_matches_the_one_step_reducer(p):
 
 
 def _check_sepdim(p, budget):
-    """``sepdim`` against the word loops at this budget, whose value is an
-    upper bound and exact where they certify it."""
+    """``sepdim`` against the per-prime loop, and against the word loops at
+    this budget, whose value is an upper bound and exact where they certify
+    it."""
     value, certified = grading.sepdim(p)
+    assert value == oracle_face_sepdim(p)
     bound, exact = oracle_sepdim(p, budget)
     dim = spectrum.dim(p)
     assert certified
@@ -154,6 +157,10 @@ def test_witness_search_matches_the_word_loops(p, budget):
 @example(parse_presentation("free(x,y)/(2x=x+y, x+y=3y)"))
 # its witness g0 = g0 + 7g0 lies past degree 4, so the loops say 1 and sepdim 0
 @example(parse_presentation("free(g0)/(8g0=g0)"))
+# three independent relations split the primes into 8 cells
+@example(parse_presentation("free(g0,g1,g2,g3,g4,g5)/(g0+g1=g0, g2+g3=g2, g4+g5=g4)"))
+# u and v are units, so u+v=0 and u+x=x touch no nonunit column and need no LP
+@example(parse_presentation("free(u,v,x,y)/(u+v=0, u+x=x, 2y=3y)"))
 def test_sepdim_from_faces_against_the_word_loops(p):
     if spectrum.compute_spectrum(p).is_empty:
         with pytest.raises(ZeroBinoid):

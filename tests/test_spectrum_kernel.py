@@ -10,7 +10,7 @@ from binoidal import rewrite, simplicial, spectrum
 from binoidal.parser import parse_presentation
 from binoidal.presentation import free, make_presentation, product, units
 from binoidal.simplicial import from_facets, simplicial_binoid
-from binoidal.bitmask import indices
+from binoidal.bitmask import indices, union, word_mask
 from binoidal.errors import ZeroBinoid
 from binoidal.words import Word
 from tests_support import (
@@ -127,6 +127,18 @@ def test_family_kernel_matches_the_per_subset_oracles(p):
             spectrum.minimal_primes(p)
     assert spectrum.predicates(p).reduced == oracle_reduced(p)
     assert simplicial.recognize_simplicial_report(p) == oracle_recognize(p)
+    # the cells partition the primes by the live binomials they avoid: their
+    # sizes sum to the size of their OR, which is the table
+    live = rewrite.completion(p).live_binomials()
+    supports = [word_mask(rel.lhs) | word_mask(rel.rhs) for rel in live]
+    cells = list(spectrum._cells(p, live))
+    assert sum(f.bit_count() for _, f in cells) == len(masks)
+    assert union(f for _, f in cells) == spectrum._table(p)
+    admissible = set(masks)
+    for inner, family in cells:
+        for q in spectrum._primes_of(family, r):
+            assert q.mask in admissible
+            assert inner == tuple(k for k, s in enumerate(supports) if not s & q.mask)
 
 
 def gens_of(primes):
@@ -153,7 +165,7 @@ def test_scan_and_poset_invariants_match_oracle(p):
 @SETTINGS
 @given(presentations(), st.data())
 def test_invariants_of_sub_spectra_match_oracle(p, data):
-    # sepdim builds a Spectrum from a subfamily of the primes
+    # oracle_sepdim in tests_support builds a Spectrum from a subfamily of the primes
     s = spectrum.compute_spectrum(p)
     keep = data.draw(st.lists(st.booleans(), min_size=len(s), max_size=len(s)))
     sub = spectrum.Spectrum(p, tuple(q for q, k in zip(s.primes, keep) if k))

@@ -407,6 +407,33 @@ def oracle_sepdim(p, degree_budget):
     return value, verdict == grading.SEPARATED
 
 
+def oracle_face_sepdim(p):
+    """The per-prime loop that the cell split in ``grading.sepdim`` replaced:
+    each prime's inner relations by set tests, one LP per distinct set of
+    them on the face's nonunit columns, and the longest chain of the kept
+    primes from ``oracle_heights``.  No grading shortcut is taken."""
+    primes = oracle_spectrum(p)
+    if not primes:
+        raise ZeroBinoid("the zero binoid has no separated dimension")
+    nonunit = max(primes, key=len)
+    rows = [
+        (rel.lhs.support() | rel.rhs.support(), grading._difference(rel, p.rank))
+        for rel in rewrite.completion(p).live_binomials()
+    ]
+    separated = {}  # by the face's inner rows
+    kept = []
+    for q in primes:
+        inner = tuple(k for k, (support, _) in enumerate(rows) if not support & set(q))
+        if inner not in separated:
+            face = [rows[k][1] for k in inner]
+            cols = [i for i in nonunit if any(row[i] for row in face)]
+            sub = [[row[i] for i in cols] for row in face]
+            separated[inner] = grading._positive_kernel(sub, len(cols)) is not None
+        if separated[inner]:
+            kept.append(q)
+    return max(oracle_heights(kept).values(), default=-1)
+
+
 def oracle_order_delta(p, weights, w, rs):
     """Largest degree of a word in the weight level of w that equals w."""
     if spectrum.predicates(p).units:
